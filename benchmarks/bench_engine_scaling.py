@@ -13,7 +13,12 @@ import pytest
 
 from repro.circuits import random_netlist
 from repro.fi.faults import full_fault_universe
-from repro.sim import BitParallelSimulator, Simulator, random_workload
+from repro.sim import (
+    BitParallelSimulator,
+    Simulator,
+    StuckAt,
+    random_workload,
+)
 
 
 @pytest.mark.parametrize("n_gates", [100, 400, 1600])
@@ -30,10 +35,9 @@ def test_fault_pass_scaling(benchmark, n_gates):
     fault_values = np.array([fault.stuck_at for fault in faults])
 
     result = benchmark(
-        engine.run_fault_pass, workload, fault_nets, fault_values
+        engine.run_pass, [workload], StuckAt(fault_nets, fault_values)
     )
-    error_cycles, detection, latent = result
-    assert len(error_cycles) == len(faults)
+    assert result.error_cycles.shape == (1, len(faults))
     benchmark.extra_info["fault_experiments"] = len(faults)
     benchmark.extra_info["cycles"] = workload.cycles
 

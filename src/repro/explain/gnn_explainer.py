@@ -59,7 +59,7 @@ from repro.graph.data import GraphData
 from repro.models.gcn import GCNClassifier
 from repro.nn.modules import functional_plan
 from repro.utils.errors import ModelError
-from repro.utils.parallel import fork_context, map_in_forks, resolve_jobs
+from repro.utils.parallel import fork_context, resolve_jobs
 from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.workerpool import PoolPolicy, WorkerPool
 
@@ -782,10 +782,10 @@ class GNNExplainer:
                  for batch in batches]
         if (resolve_jobs(jobs) <= 1 or len(units) <= 1
                 or fork_context() is None):
-            # Supervision-free fallback: same per-unit code in-process.
+            # In-process: the same per-unit code the pool workers run.
             _WORKER_EXPLAINER = self
             try:
-                outcomes = map_in_forks(_worker_batch, units, jobs)
+                outcomes = [_worker_batch(unit) for unit in units]
             finally:
                 _WORKER_EXPLAINER = None
         else:

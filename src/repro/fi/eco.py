@@ -701,7 +701,7 @@ class EcoTraces:
                 workload_names = [
                     str(name) for name in archive["workload_names"]
                 ]
-                return cls(
+                traces = cls(
                     fingerprint=str(archive["fingerprint"]),
                     netlist_name=str(archive["netlist_name"]),
                     workload_names=workload_names,
@@ -730,6 +730,39 @@ class EcoTraces:
                 f"ECO trace sidecar {path} is corrupt or truncated: "
                 f"{error}"
             ) from error
+        traces._check_shapes(path)
+        return traces
+
+    def _check_shapes(self, path: PathLike) -> None:
+        """Refuse a sidecar whose arrays disagree with its name lists
+        (lane words, output and flop counts), before any lane lookup
+        can index past them."""
+        n_words = (len(self.fault_nodes) + 64) // 64
+        problems = []
+        if len(self.fault_stuck) != len(self.fault_nodes):
+            problems.append(
+                f"{len(self.fault_stuck)} stuck values for "
+                f"{len(self.fault_nodes)} faults"
+            )
+        for row, (outputs, flops) in enumerate(
+            zip(self.output_diff, self.flop_end_diff)
+        ):
+            if outputs.shape[1:] != (len(self.output_names), n_words):
+                problems.append(
+                    f"output_diff_{row} has shape {outputs.shape}, "
+                    f"expected (cycles, {len(self.output_names)}, "
+                    f"{n_words})"
+                )
+            if flops.shape != (len(self.flop_names), n_words):
+                problems.append(
+                    f"flop_end_diff_{row} has shape {flops.shape}, "
+                    f"expected ({len(self.flop_names)}, {n_words})"
+                )
+        if problems:
+            raise EcoError(
+                f"ECO trace sidecar {path} is inconsistent: "
+                + "; ".join(problems)
+            )
 
 
 def run_campaign_with_traces(
@@ -756,7 +789,7 @@ def run_campaign_with_traces(
 
     from repro.utils.fingerprint import campaign_fingerprint
     from repro.fi.runner import CampaignRunner, RunnerPolicy
-    from repro.sim.bitparallel import BitParallelSimulator, PassTrace
+    from repro.sim.bitparallel import BitParallelSimulator, StuckAt
 
     runner = CampaignRunner(
         netlist, workloads, faults=faults, observation=observation,
@@ -768,12 +801,8 @@ def run_campaign_with_traces(
         store.open(resume=False)
 
     engine = BitParallelSimulator(netlist)
-    flop_names = [
-        gate.node_name for gate in netlist.sequential_gates()
-    ]
-    n_outputs = len(netlist.primary_outputs)
+    injection = StuckAt(runner._fault_nets, runner._fault_values)
     n_faults = len(runner.faults)
-    n_words = (n_faults + 1 + 63) // 64
     n_workloads = len(runner.workloads)
 
     error_cycles = np.zeros((n_workloads, n_faults), dtype=np.int64)
@@ -783,14 +812,12 @@ def run_campaign_with_traces(
     flop_end_diff: List[np.ndarray] = []
     total_elapsed = 0.0
     for row, workload in enumerate(runner.workloads):
-        trace = PassTrace.allocate(
-            workload.cycles, n_outputs, len(flop_names), n_words
-        )
         started = time.perf_counter()
-        value = engine.run_fault_pass(
-            workload, runner._fault_nets, runner._fault_values,
-            observation=runner._compiled, trace=trace,
+        traced = engine.run_pass(
+            [workload], injection, observation=runner._compiled,
+            trace=True,
         )
+        value = traced.row(0)
         elapsed = time.perf_counter() - started
         total_elapsed += elapsed
         error_cycles[row], detection[row], latent[row] = value
@@ -800,8 +827,8 @@ def run_campaign_with_traces(
                 error_cycles=value[0], detection_cycle=value[1],
                 latent=value[2], elapsed_seconds=elapsed,
             )
-        output_diff.append(trace.output_diff)
-        flop_end_diff.append(trace.flop_end_diff)
+        output_diff.append(traced.trace.output_diff)
+        flop_end_diff.append(traced.trace.flop_end_diff)
 
     result = CampaignResult(
         netlist_name=netlist.name,
@@ -824,7 +851,9 @@ def run_campaign_with_traces(
         netlist_name=netlist.name,
         workload_names=[w.name for w in runner.workloads],
         output_names=netlist.output_names(),
-        flop_names=flop_names,
+        flop_names=[
+            gate.node_name for gate in netlist.sequential_gates()
+        ],
         fault_nodes=[fault.node_name for fault in runner.faults],
         fault_stuck=np.array(
             [fault.stuck_at for fault in runner.faults], dtype=np.int8
@@ -864,7 +893,7 @@ def _trace_merge_dirty(
     severity_old: float,
 ) -> Optional[CampaignResult]:
     """Rebuild the dirty faults' rows from baseline traces plus one
-    affected-support-cone pass per workload.
+    packed affected-support-cone pass per workload cycle count.
 
     Returns ``None`` when the traces cannot soundly cover this edit
     (non-stuck-at faults, or a dirty fault on a pre-existing node with
@@ -875,7 +904,7 @@ def _trace_merge_dirty(
 
     from repro.utils.fingerprint import campaign_fingerprint
     from repro.fi.observation import ObservationSpec
-    from repro.sim.bitparallel import BitParallelSimulator, PassTrace
+    from repro.sim.bitparallel import BitParallelSimulator, StuckAt
 
     if any(not hasattr(fault, "stuck_at") for fault in dirty_faults):
         return None
@@ -944,15 +973,15 @@ def _trace_merge_dirty(
     )
 
     cone_faults = _cone_faults(sub, dirty_faults)
-    fault_nets = np.array(
-        [fault.net_index for fault in cone_faults], dtype=np.intp
-    )
-    fault_values = np.array(
-        [fault.stuck_at for fault in cone_faults], dtype=np.uint8
+    injection = StuckAt(
+        np.array([fault.net_index for fault in cone_faults],
+                 dtype=np.intp),
+        np.array([fault.stuck_at for fault in cone_faults],
+                 dtype=np.uint8),
     )
     n_dirty = len(dirty_faults)
-    cone_machines = np.arange(1, n_dirty + 1, dtype=np.int64)
-    cone_words = (n_dirty + 1 + 63) // 64
+    span = n_dirty + 1
+    cone_machines = np.arange(1, span, dtype=np.int64)
     sub_outputs = sub.output_names()
     affected_out_rows = np.array(
         [i for i, name in enumerate(sub_outputs)
@@ -979,104 +1008,55 @@ def _trace_merge_dirty(
     detection = np.full((n_workloads, n_dirty), -1, dtype=np.int64)
     latent = np.zeros((n_workloads, n_dirty), dtype=bool)
 
-    # With uniform cycle counts the whole suite packs into a single
-    # bit-parallel pass (per-workload golden lanes), dividing the cone
-    # pass's per-cycle dispatch cost by the workload count.
-    packed = None
-    packed_out_union = None
-    packed_end_union = None
-    span = n_dirty + 1
-    if len({w.cycles for w in remapped}) == 1:
-        packed = engine.run_packed_fault_trace(
-            remapped, fault_nets, fault_values, observation=compiled,
-        )
-        if affected_out_rows.size:
-            packed_out_union = np.bitwise_or.reduce(
-                packed.output_diff[:, affected_out_rows, :], axis=1
-            )
-        if affected_flop_rows.size:
-            packed_end_union = np.bitwise_or.reduce(
-                packed.flop_end_diff[affected_flop_rows], axis=0
-            )
-
+    # Workloads of one cycle count pack into a single bit-parallel pass
+    # (per-workload golden lanes), dividing the cone pass's per-cycle
+    # dispatch cost by the group size.  Empty row selections reduce to
+    # all-zero words, i.e. no contribution.
+    by_cycles: Dict[int, List[int]] = {}
     for row, workload in enumerate(remapped):
-        if packed is None:
-            trace = PassTrace.allocate(
-                workload.cycles, len(sub_outputs), len(sub_flop_names),
-                cone_words,
-            )
-            engine.run_fault_pass(
-                workload, fault_nets, fault_values,
-                observation=compiled, trace=trace,
-            )
-
-        base_out = traces.output_diff[row]
-        if base_out.shape[0] != workload.cycles:
-            raise EcoError(
-                f"ECO trace sidecar cycle count for workload "
-                f"{workload.name!r} differs from the given suite"
-            )
-        if clean_out_rows.size:
-            clean_union = np.bitwise_or.reduce(
-                base_out[:, clean_out_rows, :], axis=1
-            )
-            clean_bits = _machine_bits(clean_union, base_machines)
-            clean_bits[:, ~has_lane] = False
-        else:
-            clean_bits = np.zeros(
-                (workload.cycles, n_dirty), dtype=bool
-            )
-        if packed is not None:
-            if packed_out_union is not None:
-                affected_bits = _machine_bits(
-                    packed_out_union, row * span + cone_machines
-                )
-            else:
-                affected_bits = np.zeros(
-                    (workload.cycles, n_dirty), dtype=bool
-                )
-        elif affected_out_rows.size:
-            affected_union = np.bitwise_or.reduce(
-                trace.output_diff[:, affected_out_rows, :], axis=1
-            )
-            affected_bits = _machine_bits(affected_union,
-                                          cone_machines)
-        else:
-            affected_bits = np.zeros(
-                (workload.cycles, n_dirty), dtype=bool
-            )
-
-        union = clean_bits | affected_bits
-        error_cycles[row] = union.sum(axis=0, dtype=np.int64)
-        ever = union.any(axis=0)
-        detection[row] = np.where(
-            ever, union.argmax(axis=0), -1
+        by_cycles.setdefault(workload.cycles, []).append(row)
+    for rows in by_cycles.values():
+        packed = engine.run_pass(
+            [remapped[row] for row in rows], injection,
+            observation=compiled, trace=True,
+        ).trace
+        out_union = np.bitwise_or.reduce(
+            packed.output_diff[:, affected_out_rows, :], axis=1
         )
-
-        if clean_flop_rows.size:
-            clean_end = np.bitwise_or.reduce(
-                traces.flop_end_diff[row][clean_flop_rows], axis=0
-            )
-            clean_corrupt = _machine_bits(clean_end, base_machines)
-            clean_corrupt[~has_lane] = False
-        else:
-            clean_corrupt = np.zeros(n_dirty, dtype=bool)
-        if packed is not None:
-            if packed_end_union is not None:
-                affected_corrupt = _machine_bits(
-                    packed_end_union, row * span + cone_machines
+        end_union = np.bitwise_or.reduce(
+            packed.flop_end_diff[affected_flop_rows], axis=0
+        )
+        for position, row in enumerate(rows):
+            base_out = traces.output_diff[row]
+            if base_out.shape[0] != remapped[row].cycles:
+                raise EcoError(
+                    f"ECO trace sidecar cycle count for workload "
+                    f"{remapped[row].name!r} differs from the given suite"
                 )
-            else:
-                affected_corrupt = np.zeros(n_dirty, dtype=bool)
-        elif affected_flop_rows.size:
-            affected_end = np.bitwise_or.reduce(
-                trace.flop_end_diff[affected_flop_rows], axis=0
+            lanes = position * span + cone_machines
+            clean_bits = _machine_bits(
+                np.bitwise_or.reduce(base_out[:, clean_out_rows, :],
+                                     axis=1),
+                base_machines,
             )
-            affected_corrupt = _machine_bits(affected_end,
-                                             cone_machines)
-        else:
-            affected_corrupt = np.zeros(n_dirty, dtype=bool)
-        latent[row] = (clean_corrupt | affected_corrupt) & ~ever
+            clean_bits[:, ~has_lane] = False
+            union = clean_bits | _machine_bits(out_union, lanes)
+            error_cycles[row] = union.sum(axis=0, dtype=np.int64)
+            ever = union.any(axis=0)
+            detection[row] = np.where(
+                ever, union.argmax(axis=0), -1
+            )
+
+            clean_corrupt = _machine_bits(
+                np.bitwise_or.reduce(
+                    traces.flop_end_diff[row][clean_flop_rows], axis=0
+                ),
+                base_machines,
+            )
+            clean_corrupt[~has_lane] = False
+            latent[row] = (
+                clean_corrupt | _machine_bits(end_union, lanes)
+            ) & ~ever
 
     return CampaignResult(
         netlist_name=new.name,

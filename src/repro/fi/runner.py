@@ -82,7 +82,7 @@ from repro.fi.checkpoint import (
 )
 from repro.fi.faults import Fault, full_fault_universe
 from repro.netlist.netlist import Netlist
-from repro.sim.bitparallel import BitParallelSimulator
+from repro.sim.bitparallel import BitParallelSimulator, StuckAt
 from repro.sim.waveform import Workload
 from repro.utils.errors import CampaignError, SimulationError
 from repro.utils.parallel import (
@@ -553,12 +553,11 @@ class CampaignRunner:
     def _pass(self, workload: Workload, shard: int,
               engine: BitParallelSimulator):
         lo, hi = self._shards[shard]
-        return engine.run_fault_pass(
-            workload,
-            self._fault_nets[lo:hi],
-            self._fault_values[lo:hi],
+        return engine.run_pass(
+            [workload],
+            StuckAt(self._fault_nets[lo:hi], self._fault_values[lo:hi]),
             observation=self._compiled,
-        )
+        ).row(0)
 
     def _shared_engine(self) -> BitParallelSimulator:
         if self._engine is None:

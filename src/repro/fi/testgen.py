@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.fi.faults import Fault, full_fault_universe
 from repro.netlist.netlist import Netlist
-from repro.sim.bitparallel import BitParallelSimulator
+from repro.sim.bitparallel import BitParallelSimulator, StuckAt
 from repro.sim.waveform import Workload
 from repro.sim.workloads import random_workload
 from repro.utils.errors import SimulationError
@@ -111,9 +111,9 @@ def generate_compact_workloads(
         fault_values = np.array(
             [fault_list[i].stuck_at for i in remaining], dtype=np.uint8
         )
-        error_cycles, _, _ = engine.run_fault_pass(
-            candidate, fault_nets, fault_values
-        )
+        error_cycles = engine.run_pass(
+            [candidate], StuckAt(fault_nets, fault_values)
+        ).error_cycles[0]
         newly = remaining[error_cycles > 0]
         if len(newly) == 0:
             continue

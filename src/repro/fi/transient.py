@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.fi.campaign import DEFAULT_SEVERITY, CampaignResult
 from repro.netlist.netlist import Netlist
-from repro.sim.bitparallel import BitParallelSimulator
+from repro.sim.bitparallel import BitParallelSimulator, Upset
 from repro.sim.waveform import Workload
 from repro.utils.errors import SimulationError
 from repro.utils.rng import SeedLike, derive_rng
@@ -128,10 +128,11 @@ def run_transient_campaign(
     )
 
     engine = BitParallelSimulator(netlist)
-    fault_nets = np.array([fault.net_index for fault in fault_list],
-                          dtype=np.intp)
-    fault_cycles = np.array([fault.cycle for fault in fault_list],
-                            dtype=np.int64)
+    upsets = Upset(
+        np.array([fault.net_index for fault in fault_list],
+                 dtype=np.intp),
+        np.array([fault.cycle for fault in fault_list], dtype=np.int64),
+    )
 
     n_workloads, n_faults = len(workloads), len(fault_list)
     error_cycles = np.zeros((n_workloads, n_faults), dtype=np.int64)
@@ -140,14 +141,9 @@ def run_transient_campaign(
 
     started = time.perf_counter()
     for row, workload in enumerate(workloads):
-        row_errors, row_detection, row_latent = (
-            engine.run_transient_pass(
-                workload, fault_nets, fault_cycles, observation=compiled
-            )
-        )
-        error_cycles[row] = row_errors
-        detection[row] = row_detection
-        latent[row] = row_latent
+        error_cycles[row], detection[row], latent[row] = engine.run_pass(
+            [workload], upsets, observation=compiled
+        ).row(0)
     elapsed = time.perf_counter() - started
 
     return CampaignResult(

@@ -518,10 +518,15 @@ def load_gcn(path: PathLike, data: GraphData):
     """
     from repro.models.gcn import build_gcn_stack
 
-    with np.load(path) as archive:
-        metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
+    with _open_npz(path, "GCN") as archive:
+        metadata = _archive_metadata(
+            archive, path, "GCN",
+            required=("kind", "hidden_dims", "dropout",
+                      "adjacency_mode", "self_loops"),
+        )
         weights = [
-            archive[f"parameter_{index}"]
+            _archive_array(archive, f"parameter_{index}", path, "GCN",
+                           "f")
             for index in range(
                 sum(1 for key in archive.files
                     if key.startswith("parameter_"))
@@ -583,9 +588,13 @@ def save_split(split: Split, path: PathLike) -> None:
 
 def load_split(path: PathLike) -> Split:
     """Read a split written by :func:`save_split`."""
-    with np.load(path) as archive:
-        return Split(train_mask=archive["train_mask"],
-                     val_mask=archive["val_mask"])
+    with _open_npz(path, "split") as archive:
+        return Split(
+            train_mask=_archive_array(archive, "train_mask", path,
+                                      "split", "b"),
+            val_mask=_archive_array(archive, "val_mask", path, "split",
+                                    "b"),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Logic simulation: scalar reference engine, 64-way bit-parallel
 engine, stimulus containers, and per-design workload generators."""
 
-from repro.sim.bitparallel import BitParallelSimulator, GoldenStats
+from repro.sim.bitparallel import (
+    BitParallelSimulator,
+    GoldenStats,
+    StuckAt,
+    Upset,
+)
 from repro.sim.simulator import Driver, Simulator
 from repro.sim.vcd import dump_vcd, trace_to_vcd
 from repro.sim.xsim import ResetReport, XSimulator, reset_analysis
@@ -19,6 +24,8 @@ from repro.sim.workloads import (
 __all__ = [
     "BitParallelSimulator",
     "GoldenStats",
+    "StuckAt",
+    "Upset",
     "Driver",
     "Simulator",
     "ResetReport",

@@ -3,22 +3,34 @@
 This is the performance core of the fault-injection substrate (the
 stand-in for the paper's Cadence Xcelium campaigns).  Net values are
 ``numpy.uint64`` words: bit *b* of word *w* carries the value seen by
-*machine* ``64*w + b``.  Machine 0 is always the fault-free golden
-machine; every other machine runs the same stimulus with one stuck-at
-fault permanently forced on one gate output.  A whole fault universe
-therefore simulates in a single pass per workload, with every gate
-evaluation a handful of vectorized numpy operations.
+*lane* ``64*w + b``.  A fault pass (:meth:`BitParallelSimulator.run_pass`)
+lays its lanes out workload-major: each workload owns one contiguous
+span holding its own fault-free golden machine followed by one lane per
+fault.  A whole fault universe — and, with uniform cycle counts, a
+whole workload suite — therefore simulates in a single pass, with every
+gate evaluation a handful of vectorized numpy operations.
+
+The pass has three parts:
+
+* the *lane layout* (:class:`_LaneLayout`): which lane belongs to which
+  workload span and fault, and how a per-span bit spreads over packed
+  words;
+* the *injector* (:class:`StuckAt` or :class:`Upset`): permanent
+  force/clear masks, or a per-cycle flip schedule on flop outputs;
+* the *sink*: a :class:`MismatchAccumulator` always, plus a
+  :class:`PassTrace` of gated per-output mismatch words when asked for.
 
 The schedule is levelized and type-grouped: gates of the same cell type
 on the same topological level evaluate together as one gather/compute/
 scatter step.
 
-The inner loop is allocation-free on the hot path: per-word-width
-scratch buffers (gathers, output comparison, mismatch masks) are built
-once and reused across cycles, constant-cell outputs are evaluated once
-per pass, fault forcing masks are gathered per group once per pass, and
-per-machine error-cycle counts accumulate by popcounting chunks of
-packed mismatch words instead of unpacking every mismatch cycle.
+The inner loop is allocation-light on the hot path: per-word-width
+scratch buffers (gathers, output rows, mismatch masks) are built once
+and reused across cycles, constant-cell outputs are evaluated once per
+pass, fault forcing masks are gathered per group once per pass,
+stimulus is packed into per-lane words once per pass, and per-lane
+error-cycle counts accumulate by popcounting chunks of packed mismatch
+words instead of unpacking every mismatch cycle.
 """
 
 from __future__ import annotations
@@ -50,7 +62,8 @@ class PassTrace:
     cycles where the output's strobe is inactive), so any subset union
     of outputs reproduces the engine's own mismatch accounting bit for
     bit.  ``flop_end_diff[q]`` holds the end-of-run state-corruption
-    words of flop *q* (the inputs to the latent classification).
+    words of flop *q* (the inputs to the latent classification).  Lanes
+    follow the pass's layout; golden and unused tail lanes are zero.
     """
 
     output_diff: np.ndarray    # uint64 (cycles, n_outputs, n_words)
@@ -67,6 +80,28 @@ class PassTrace:
                 (n_flops, n_words), dtype=np.uint64
             ),
         )
+
+
+@dataclass
+class PassResult:
+    """Outcome of one :meth:`BitParallelSimulator.run_pass`.
+
+    Every array is indexed ``[workload, fault]``: the count of cycles
+    with a functional output mismatch, the first mismatch cycle (-1
+    when never), and end-of-run state corruption for faults that never
+    reached an output.  ``trace`` is set only for traced passes.
+    """
+
+    error_cycles: np.ndarray     # int64 (n_workloads, n_faults)
+    detection_cycle: np.ndarray  # int64 (n_workloads, n_faults)
+    latent: np.ndarray           # bool (n_workloads, n_faults)
+    trace: Optional[PassTrace] = None
+
+    def row(self, workload: int
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One workload's ``(error_cycles, detection_cycle, latent)``."""
+        return (self.error_cycles[workload],
+                self.detection_cycle[workload], self.latent[workload])
 
 
 @dataclass
@@ -137,9 +172,6 @@ class _PassScratch:
         ]
         n_outputs = len(sim._po_idx)
         self.po = np.empty((n_outputs, n_words), dtype=np.uint64)
-        self.golden_broadcast = np.empty(
-            (n_outputs, n_words), dtype=np.uint64
-        )
         self.diff = np.empty((n_outputs, n_words), dtype=np.uint64)
         self.mismatch = np.empty(n_words, dtype=np.uint64)
 
@@ -181,24 +213,153 @@ class _FaultMasks:
             )
 
 
-class MismatchAccumulator:
-    """Streaming golden-vs-faulty mismatch accounting.
+class _LaneLayout:
+    """Workload-major lane layout of one pass.
 
-    Shared by the stuck-at and transient passes so both get the same
-    optimized bookkeeping: per-cycle packed mismatch masks are buffered
-    and *popcounted in chunks* (one ``unpackbits`` + column sum per
-    :data:`MISMATCH_CHUNK` mismatch cycles) instead of being expanded to
-    a boolean machine vector on every mismatch cycle, and first-detection
-    cycles are scattered with one vectorized assignment per cycle rather
-    than a per-machine Python loop.
+    Workload *w* owns the contiguous span of lanes
+    ``[w*span, (w+1)*span)`` with ``span = n_faults + 1``: its golden
+    machine at the span start, then one lane per fault in fault order.
+    Stimulus, golden comparison and strobe gating are all per span; a
+    single workload is simply the one-span case.
     """
 
-    def __init__(self, n_machines: int, n_words: int):
-        self.n_machines = n_machines
-        self.n_words = n_words
+    def __init__(self, n_spans: int, n_faults: int):
+        self.n_spans = n_spans
+        self.span = n_faults + 1
+        self.n_lanes = n_spans * self.span
+        self.n_words = (self.n_lanes + 63) // 64
+        lanes = np.arange(self.n_lanes)
+        lane_bits = np.zeros((n_spans, self.n_words * 64), dtype=np.uint8)
+        lane_bits[lanes // self.span, lanes] = 1
+        #: ``span_masks[w]`` covers span *w*'s lanes; ``valid`` is their
+        #: union, zeroing the unused tail of the last word.
+        self.span_masks = np.packbits(
+            lane_bits, axis=1, bitorder="little"
+        ).view(np.uint64)
+        self.valid = np.bitwise_or.reduce(self.span_masks, axis=0)
+        golden = lanes[::self.span]
+        self._golden_word = golden >> 6
+        self._golden_bit = np.uint64(1) << (golden & 63).astype(np.uint64)
+        faults = lanes.reshape(n_spans, self.span)[:, 1:].ravel()
+        #: Word index and bit mask of each fault lane, workload-major.
+        self.fault_word = faults >> 6
+        self.fault_bit = np.uint64(1) << (faults & 63).astype(np.uint64)
+
+    def golden(self, rows: np.ndarray) -> np.ndarray:
+        """Each span's golden bit of every row: bool (rows, n_spans)."""
+        return (rows[:, self._golden_word] & self._golden_bit) != 0
+
+    def spread(self, bits: np.ndarray) -> np.ndarray:
+        """Fill every span's lanes with its bit: bool ``(..., n_spans)``
+        to packed uint64 ``(..., n_words)`` (spans are disjoint, so the
+        product is their union)."""
+        return bits.astype(np.uint64) @ self.span_masks
+
+    def golden_diff(self, rows: np.ndarray) -> np.ndarray:
+        """Per-lane difference of ``rows`` from each span's golden."""
+        return (rows ^ self.spread(self.golden(rows))) & self.valid
+
+    def faults(self, per_lane: np.ndarray) -> np.ndarray:
+        """A per-lane vector as a ``(n_spans, n_faults)`` view."""
+        return per_lane[:self.n_lanes].reshape(
+            self.n_spans, self.span
+        )[:, 1:]
+
+    def goldens(self, per_lane: np.ndarray) -> np.ndarray:
+        """A per-lane vector's golden-lane entries, one per span."""
+        return per_lane[:self.n_lanes:self.span]
+
+
+#: What an injector hands the kernel: fault masks for the settle and
+#: commit steps (or ``None``), the initial net values, and the per-cycle
+#: flip schedule ``{cycle: (nets, words, bit masks)}``.
+_Armed = Tuple[Optional[_FaultMasks], np.ndarray,
+               Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]]
+
+
+@dataclass(frozen=True)
+class StuckAt:
+    """Permanent stuck-at faults: fault *f* forces net ``nets[f]`` (the
+    faulted gate's output) to ``values[f]`` (0/1) from cycle 0 on."""
+
+    nets: np.ndarray
+    values: np.ndarray
+
+    def arm(self, sim: "BitParallelSimulator", layout: _LaneLayout,
+            n_cycles: int) -> _Armed:
+        nets = np.tile(np.asarray(self.nets, dtype=np.intp),
+                       layout.n_spans)
+        stuck_one = np.tile(np.asarray(self.values).astype(bool),
+                            layout.n_spans)
+        shape = (sim.netlist.n_nets, layout.n_words)
+        clear = np.zeros(shape, dtype=np.uint64)
+        force = np.zeros(shape, dtype=np.uint64)
+        np.bitwise_or.at(clear, (nets, layout.fault_word),
+                         layout.fault_bit)
+        np.bitwise_or.at(
+            force,
+            (nets[stuck_one], layout.fault_word[stuck_one]),
+            layout.fault_bit[stuck_one],
+        )
+        masks = _FaultMasks(sim, clear, force,
+                            sim._scratch(layout.n_words))
+        # The stuck value holds from t=0: faulty nets (notably flop
+        # outputs, whose forcing is otherwise applied at commit time)
+        # start at their forced state rather than the reset state.
+        return masks, force.copy(), {}
+
+
+@dataclass(frozen=True)
+class Upset:
+    """Single-event upsets: fault *f* inverts flip-flop output net
+    ``nets[f]`` at the start of cycle ``cycles[f]`` — the standard SEU
+    model (soft errors strike state elements; combinational glitches
+    are filtered unless captured)."""
+
+    nets: np.ndarray
+    cycles: np.ndarray
+
+    def arm(self, sim: "BitParallelSimulator", layout: _LaneLayout,
+            n_cycles: int) -> _Armed:
+        if not np.isin(self.nets, sim._flop_out_idx).all():
+            raise SimulationError(
+                "transient faults target flip-flop outputs only"
+            )
+        cycles = np.asarray(self.cycles, dtype=np.int64)
+        outside = (cycles < 0) | (cycles >= n_cycles)
+        if outside.any():
+            raise SimulationError(
+                f"injection cycle {int(cycles[outside][0])} outside "
+                "the workload"
+            )
+        nets = np.tile(np.asarray(self.nets, dtype=np.intp),
+                       layout.n_spans)
+        cycles = np.tile(cycles, layout.n_spans)
+        flips = {}
+        for cycle in np.unique(cycles):
+            at = cycles == cycle
+            flips[int(cycle)] = (nets[at], layout.fault_word[at],
+                                 layout.fault_bit[at])
+        values = np.zeros((sim.netlist.n_nets, layout.n_words),
+                          dtype=np.uint64)
+        return None, values, flips
+
+
+class MismatchAccumulator:
+    """Streaming golden-vs-faulty mismatch accounting, per lane.
+
+    Per-cycle packed mismatch masks are buffered and *popcounted in
+    chunks* (one ``unpackbits`` + column sum per :data:`MISMATCH_CHUNK`
+    mismatch cycles) instead of being expanded to a boolean lane vector
+    on every mismatch cycle, and first-detection cycles are scattered
+    with one vectorized assignment per cycle rather than a per-lane
+    Python loop.  Every per-lane array spans all ``64 * n_words`` lanes;
+    the pass's layout slices out the fault lanes.
+    """
+
+    def __init__(self, n_words: int):
         self.seen = np.zeros(n_words, dtype=np.uint64)
-        self.detection_cycle = np.full(n_machines - 1, -1,
-                                       dtype=np.int64)
+        self.detection_cycle = np.full(n_words * 64, -1, dtype=np.int64)
         self._counts = np.zeros(n_words * 64, dtype=np.int64)
         self._chunk = np.zeros((MISMATCH_CHUNK, n_words),
                                dtype=np.uint64)
@@ -219,13 +380,7 @@ class MismatchAccumulator:
         np.bitwise_and(mismatch, new, out=new)
         if new.any():
             np.bitwise_or(self.seen, mismatch, out=self.seen)
-            machines = np.flatnonzero(np.unpackbits(
-                new.view(np.uint8), bitorder="little"
-            ))
-            machines = machines[
-                (machines > 0) & (machines < self.n_machines)
-            ]
-            self.detection_cycle[machines - 1] = cycle
+            self.detection_cycle[_lane_flags(new)] = cycle
 
     def _flush(self) -> None:
         if not self._fill:
@@ -237,19 +392,14 @@ class MismatchAccumulator:
         self._counts += bits.sum(axis=0, dtype=np.int64)
         self._fill = 0
 
-    @property
-    def golden_diverged(self) -> bool:
-        """True when the golden machine mismatched itself (engine bug)."""
-        return bool(self.seen[0] & np.uint64(1))
-
     def error_cycles(self) -> np.ndarray:
-        """Per-fault count of mismatch cycles (flushes the chunk)."""
+        """Per-lane count of mismatch cycles (flushes the chunk)."""
         self._flush()
-        return self._counts[1: self.n_machines]
+        return self._counts
 
     def observed(self) -> np.ndarray:
-        """Per-fault flags: at least one mismatch cycle ever occurred."""
-        return _machine_flags(self.seen, self.n_machines)[1:]
+        """Per-lane flags: at least one mismatch cycle ever occurred."""
+        return _lane_flags(self.seen)
 
 
 class BitParallelSimulator:
@@ -390,51 +540,23 @@ class BitParallelSimulator:
         # (n_pi, 1) broadcasts across all machine words on assignment.
         values[self._pi_idx] = np.where(bits[:, None], ONES, ZERO)
 
-    def _compare_outputs(
-        self, values: np.ndarray, observation, scratch: _PassScratch,
-        trace_row: Optional[np.ndarray] = None,
+    def _output_diff(
+        self, values: np.ndarray, layout: _LaneLayout, observation,
+        scratch: _PassScratch,
     ) -> np.ndarray:
-        """One cycle's packed mismatch mask (a view into scratch)."""
-        mismatch = scratch.mismatch
-        if not len(self._po_idx):
-            mismatch[:] = ZERO
-            return mismatch
-        np.take(values, self._po_idx, axis=0, out=scratch.po)
-        golden_bits = (scratch.po[:, 0] & np.uint64(1)).astype(bool)
-        broadcast = scratch.golden_broadcast
-        broadcast[:] = ZERO
-        broadcast[golden_bits] = ONES
-        np.bitwise_xor(scratch.po, broadcast, out=scratch.diff)
-        if observation is not None:
-            compare = observation.compare_mask(golden_bits)
-            np.bitwise_or.reduce(
-                scratch.diff, axis=0, out=mismatch,
-                where=compare[:, None], initial=0,
-            )
-            if trace_row is not None:
-                trace_row[compare] = scratch.diff[compare]
-        else:
-            np.bitwise_or.reduce(scratch.diff, axis=0, out=mismatch)
-            if trace_row is not None:
-                trace_row[:] = scratch.diff
-        return mismatch
-
-    def _latent_flags(
-        self, values: np.ndarray, n_machines: int,
-        observed: np.ndarray,
-        trace: Optional[PassTrace] = None,
-    ) -> np.ndarray:
-        """End-of-run state corruption that never reached an output."""
-        if not len(self._flop_out_idx):
-            return np.zeros(n_machines - 1, dtype=bool)
-        state = values[self._flop_out_idx]
-        golden_state = (state[:, 0] & np.uint64(1)).astype(bool)
-        per_flop = state ^ np.where(golden_state[:, None], ONES, ZERO)
-        if trace is not None:
-            trace.flop_end_diff[:] = per_flop
-        state_diff = np.bitwise_or.reduce(per_flop, axis=0)
-        corrupted = _machine_flags(state_diff, n_machines)[1:]
-        return corrupted & ~observed
+        """One cycle's strobe-gated per-output mismatch words (a view
+        into scratch): each span compares against its own golden lane,
+        and a strobed output keeps only the spans whose golden strobe
+        is active."""
+        po, diff = scratch.po, scratch.diff
+        np.take(values, self._po_idx, axis=0, out=po)
+        golden = layout.golden(po)
+        np.bitwise_xor(po, layout.spread(golden), out=diff)
+        if observation is None:
+            diff &= layout.valid
+        else:  # gated spans are a subset of the valid lanes
+            diff &= layout.spread(observation.compare_mask(golden))
+        return diff
 
     # ------------------------------------------------------------------
     # golden runs
@@ -490,317 +612,91 @@ class BitParallelSimulator:
         return outputs
 
     # ------------------------------------------------------------------
-    # fault campaign
+    # fault pass
     # ------------------------------------------------------------------
-    def run_fault_pass(
+    def run_pass(
         self,
-        workload: Workload,
-        fault_nets: np.ndarray,
-        fault_values: np.ndarray,
+        workloads: Sequence[Workload],
+        injection,
         observation=None,
-        trace: Optional[PassTrace] = None,
-    ):
-        """Simulate one workload against all faults simultaneously.
+        trace: bool = False,
+    ) -> PassResult:
+        """Simulate every workload x every fault in one pass.
 
         Args:
-            workload: Stimulus to replay.
-            fault_nets: Net index per fault (the faulted gate's output).
-            fault_values: Stuck-at value (0/1) per fault.
+            workloads: Stimuli to replay, one lane span each; all must
+                have the same cycle count.
+            injection: :class:`StuckAt` or :class:`Upset` faults, the
+                same set in every span.
             observation: Optional
                 :class:`repro.fi.observation.CompiledObservation`; when
                 given, each output participates in the golden-vs-faulty
                 comparison only on cycles where its strobe is active in
-                the golden run.
-            trace: Optional pre-allocated :class:`PassTrace`; when
-                given, the gated per-output mismatch words of every
-                cycle and the end-of-run per-flop state diff are
-                recorded for incremental (ECO) reuse.
-
-        Returns:
-            ``(error_cycles, detection_cycle, latent)`` — per-fault
-            count of cycles with a functional output mismatch,
-            first-mismatch cycle (-1 when never), and end-of-run
-            state-corruption flags for faults that never reached an
-            output.
-        """
-        self._check_workload(workload)
-        n_faults = len(fault_nets)
-        n_machines = n_faults + 1
-        n_words = (n_machines + 63) // 64
-        n_nets = self.netlist.n_nets
-
-        clear = np.zeros((n_nets, n_words), dtype=np.uint64)
-        force = np.zeros((n_nets, n_words), dtype=np.uint64)
-        machine = np.arange(1, n_machines)
-        words, bits = machine >> 6, machine & 63
-        bit_masks = np.uint64(1) << bits.astype(np.uint64)
-        np.bitwise_or.at(clear, (fault_nets, words), bit_masks)
-        stuck_one = fault_values.astype(bool)
-        np.bitwise_or.at(
-            force,
-            (fault_nets[stuck_one], words[stuck_one]),
-            bit_masks[stuck_one],
-        )
-
-        scratch = self._scratch(n_words)
-        masks = _FaultMasks(self, clear, force, scratch)
-        accumulator = MismatchAccumulator(n_machines, n_words)
-
-        # The stuck value holds from t=0: faulty nets (notably flop
-        # outputs, whose forcing is otherwise applied at commit time)
-        # start at their forced state rather than the reset state.
-        values = force.copy()
-        stimulus = workload.vectors.astype(bool)
-
-        for cycle in range(workload.cycles):
-            self._apply_inputs(values, stimulus[cycle])
-            self._settle(values, masks, scratch)
-            mismatch = self._compare_outputs(
-                values, observation, scratch,
-                trace.output_diff[cycle] if trace is not None else None,
-            )
-            accumulator.record(mismatch, cycle)
-            self._commit(values, masks, scratch)
-
-        if accumulator.golden_diverged:
-            raise SimulationError(
-                "golden machine diverged from itself — engine bug"
-            )
-
-        observed = accumulator.observed()
-        latent = self._latent_flags(values, n_machines, observed,
-                                    trace)
-        return (accumulator.error_cycles(),
-                accumulator.detection_cycle, latent)
-
-    def run_packed_fault_trace(
-        self,
-        workloads: Sequence[Workload],
-        fault_nets: np.ndarray,
-        fault_values: np.ndarray,
-        observation=None,
-    ) -> PassTrace:
-        """Every workload x every fault in ONE bit-parallel pass.
-
-        The machine axis is laid out workload-major: workload *w* owns
-        the contiguous lane span ``[w*(n_faults+1), (w+1)*(n_faults+1))``
-        with its own golden machine at the span start, so stimulus,
-        golden comparison, and strobe gating are all per-span.  With a
-        small netlist (an ECO support cone) the per-cycle Python
-        dispatch is the entire cost, and packing divides it by the
-        workload count.
-
-        Requires uniform workload cycle counts.  Returns only a
-        :class:`PassTrace` (per-output gated mismatch words, per-flop
-        end-state diff) — the caller slices per-(workload, fault) lanes
-        out of the packed words.
+                the span's golden run.
+            trace: Also record a :class:`PassTrace` — the gated
+                per-output mismatch words of every cycle and the
+                end-of-run per-flop state diff — for incremental (ECO)
+                reuse.
         """
         cycles = {workload.cycles for workload in workloads}
         if len(cycles) != 1:
             raise SimulationError(
-                "packed fault trace requires uniform workload cycle "
-                f"counts, got {sorted(cycles)}"
+                "a fault pass needs workloads of one cycle count, got "
+                f"{sorted(cycles)}"
             )
         n_cycles = cycles.pop()
         for workload in workloads:
             self._check_workload(workload)
 
-        n_faults = len(fault_nets)
-        span = n_faults + 1
-        n_machines = span * len(workloads)
-        n_words = (n_machines + 63) // 64
-        n_nets = self.netlist.n_nets
-
-        machine = np.concatenate([
-            group * span + 1 + np.arange(n_faults)
-            for group in range(len(workloads))
-        ])
-        nets_tiled = np.tile(np.asarray(fault_nets, dtype=np.intp),
-                             len(workloads))
-        values_tiled = np.tile(
-            np.asarray(fault_values, dtype=np.uint8), len(workloads)
-        )
-        words, bits = machine >> 6, machine & 63
-        bit_masks = np.uint64(1) << bits.astype(np.uint64)
-        clear = np.zeros((n_nets, n_words), dtype=np.uint64)
-        force = np.zeros((n_nets, n_words), dtype=np.uint64)
-        np.bitwise_or.at(clear, (nets_tiled, words), bit_masks)
-        stuck_one = values_tiled.astype(bool)
-        np.bitwise_or.at(
-            force,
-            (nets_tiled[stuck_one], words[stuck_one]),
-            bit_masks[stuck_one],
-        )
-
-        # Per-span packed masks: group_masks[w] covers workload w's
-        # lanes; valid_mask zeroes the unused tail of the last word.
-        all_machines = np.arange(n_machines)
-        span_of = all_machines // span
-        lane_bits = np.zeros((len(workloads), n_words * 64),
-                             dtype=np.uint8)
-        lane_bits[span_of, all_machines] = 1
-        group_masks = np.packbits(
-            lane_bits, axis=1, bitorder="little"
-        ).view(np.uint64)
-        valid_mask = np.bitwise_or.reduce(group_masks, axis=0)
-
-        # Stimulus: per-machine words (each lane replays its span's
-        # workload), packed once up front.
-        golden_machines = (np.arange(len(workloads)) * span)
-        stimulus = np.stack(
-            [w.vectors.astype(np.uint8) for w in workloads], axis=2
-        )  # (cycles, n_pi, n_workloads)
-        machine_bits = np.zeros(
-            (n_cycles, len(self._pi_idx), n_words * 64), dtype=np.uint8
-        )
-        machine_bits[:, :, :n_machines] = stimulus[:, :, span_of]
-        stim_words = np.packbits(
-            machine_bits, axis=2, bitorder="little"
-        ).view(np.uint64)  # (cycles, n_pi, n_words)
-
-        scratch = self._scratch(n_words)
-        masks = _FaultMasks(self, clear, force, scratch)
-        trace = PassTrace.allocate(
+        layout = _LaneLayout(len(workloads), len(injection.nets))
+        scratch = self._scratch(layout.n_words)
+        masks, values, flips = injection.arm(self, layout, n_cycles)
+        stimulus = layout.spread(np.stack(
+            [workload.vectors.astype(bool) for workload in workloads],
+            axis=2,
+        ))  # (cycles, n_pi, n_words)
+        accumulator = MismatchAccumulator(layout.n_words)
+        record = PassTrace.allocate(
             n_cycles, len(self._po_idx), len(self._flop_out_idx),
-            n_words,
-        )
-        golden_words = (golden_machines >> 6).astype(np.intp)
-        golden_shift = (golden_machines & 63).astype(np.uint64)
+            layout.n_words,
+        ) if trace else None
 
-        def span_broadcast(rows: np.ndarray) -> np.ndarray:
-            """Per-row packed golden broadcast: each span filled with
-            its own golden machine's bit."""
-            golden = ((rows[:, golden_words] >> golden_shift)
-                      & np.uint64(1)).astype(bool)
-            return golden.astype(np.uint64) @ group_masks
-
-        values = force.copy()
-        po_idx = self._po_idx
         for cycle in range(n_cycles):
-            values[self._pi_idx] = stim_words[cycle]
+            flip = flips.get(cycle)
+            if flip is not None:
+                nets, words, bits = flip
+                np.bitwise_xor.at(values, (nets, words), bits)
+            values[self._pi_idx] = stimulus[cycle]
             self._settle(values, masks, scratch)
-            if len(po_idx):
-                po = values.take(po_idx, axis=0)
-                diff = (po ^ span_broadcast(po)) & valid_mask
-                if observation is not None:
-                    gated = self._packed_compare_gate(
-                        po, observation, group_masks,
-                        golden_words, golden_shift,
-                    )
-                    diff &= gated
-                trace.output_diff[cycle] = diff
+            diff = self._output_diff(values, layout, observation,
+                                     scratch)
+            if record is not None:
+                record.output_diff[cycle] = diff
+            accumulator.record(
+                np.bitwise_or.reduce(diff, axis=0, out=scratch.mismatch),
+                cycle,
+            )
             self._commit(values, masks, scratch)
 
-        if len(self._flop_out_idx):
-            state = values[self._flop_out_idx]
-            trace.flop_end_diff[:] = (
-                (state ^ span_broadcast(state)) & valid_mask
-            )
-        return trace
-
-    def _packed_compare_gate(
-        self, po: np.ndarray, observation, group_masks: np.ndarray,
-        golden_words: np.ndarray, golden_shift: np.ndarray,
-    ) -> np.ndarray:
-        """Per-output packed compare-enable words for one cycle: a
-        strobed output keeps only the spans whose golden strobe value
-        is active; unstrobed outputs keep every span."""
-        golden = ((po[:, golden_words] >> golden_shift)
-                  & np.uint64(1)).astype(bool)  # (n_out, n_spans)
-        enabled = np.ones_like(golden)
-        strobed = observation.strobe_index >= 0
-        enabled[strobed] = (
-            golden[observation.strobe_index[strobed]]
-            == observation.strobe_active[strobed, None].astype(bool)
-        )
-        return enabled.astype(np.uint64) @ group_masks
-
-    # ------------------------------------------------------------------
-    # transient (SEU) campaign
-    # ------------------------------------------------------------------
-    def run_transient_pass(
-        self,
-        workload: Workload,
-        fault_nets: np.ndarray,
-        fault_cycles: np.ndarray,
-        observation=None,
-    ):
-        """Simulate single-event upsets: one state-bit flip per machine.
-
-        Machine *m* runs fault-free except that at the start of cycle
-        ``fault_cycles[m-1]`` the flip-flop output net
-        ``fault_nets[m-1]`` is inverted — the standard SEU model (soft
-        errors strike state elements; combinational glitches are
-        filtered unless captured).
-
-        Returns ``(error_cycles, detection_cycle, latent)`` with the
-        same semantics as :meth:`run_fault_pass`.
-        """
-        self._check_workload(workload)
-        n_faults = len(fault_nets)
-        n_machines = n_faults + 1
-        n_words = (n_machines + 63) // 64
-        n_nets = self.netlist.n_nets
-
-        flop_nets = set(int(net) for net in self._flop_out_idx)
-        for net in fault_nets:
-            if int(net) not in flop_nets:
-                raise SimulationError(
-                    "transient faults target flip-flop outputs only"
-                )
-
-        machine = np.arange(1, n_machines)
-        words, bits = machine >> 6, machine & 63
-        bit_masks = np.uint64(1) << bits.astype(np.uint64)
-
-        # Group flips by injection cycle for O(1) lookup per cycle.
-        flips_at: dict = {}
-        for fault_index in range(n_faults):
-            cycle = int(fault_cycles[fault_index])
-            if not 0 <= cycle < workload.cycles:
-                raise SimulationError(
-                    f"injection cycle {cycle} outside the workload"
-                )
-            flips_at.setdefault(cycle, []).append(fault_index)
-
-        scratch = self._scratch(n_words)
-        accumulator = MismatchAccumulator(n_machines, n_words)
-        values = np.zeros((n_nets, n_words), dtype=np.uint64)
-        stimulus = workload.vectors.astype(bool)
-
-        for cycle in range(workload.cycles):
-            for fault_index in flips_at.get(cycle, ()):
-                net = int(fault_nets[fault_index])
-                word = int(words[fault_index])
-                values[net, word] ^= bit_masks[fault_index]
-
-            self._apply_inputs(values, stimulus[cycle])
-            self._settle(values, None, scratch)
-            mismatch = self._compare_outputs(values, observation,
-                                             scratch)
-            accumulator.record(mismatch, cycle)
-            self._commit(values, None, scratch)
-
-        if accumulator.golden_diverged:
+        observed = accumulator.observed()
+        if layout.goldens(observed).any():
             raise SimulationError(
                 "golden machine diverged from itself — engine bug"
             )
-
-        observed = accumulator.observed()
-        latent = self._latent_flags(values, n_machines, observed)
-        return (accumulator.error_cycles(),
-                accumulator.detection_cycle, latent)
-
-
-def _machine_flags(mask_words: np.ndarray, n_machines: int) -> np.ndarray:
-    """Expand packed machine-mask words into a boolean vector."""
-    bytes_view = mask_words.view(np.uint8)
-    bits = np.unpackbits(bytes_view, bitorder="little")
-    return bits[:n_machines].astype(bool)
+        end_diff = layout.golden_diff(values[self._flop_out_idx])
+        if record is not None:
+            record.flop_end_diff[:] = end_diff
+        corrupted = _lane_flags(np.bitwise_or.reduce(end_diff, axis=0))
+        return PassResult(
+            error_cycles=layout.faults(accumulator.error_cycles()),
+            detection_cycle=layout.faults(accumulator.detection_cycle),
+            latent=layout.faults(corrupted & ~observed),
+            trace=record,
+        )
 
 
-def _machines_from_mask(mask_words: np.ndarray) -> np.ndarray:
-    """Machine indices whose bit is set in packed mask words."""
-    bytes_view = mask_words.view(np.uint8)
-    bits = np.unpackbits(bytes_view, bitorder="little")
-    return np.flatnonzero(bits)
+def _lane_flags(mask_words: np.ndarray) -> np.ndarray:
+    """Expand packed lane-mask words into a boolean lane vector."""
+    return np.unpackbits(
+        mask_words.view(np.uint8), bitorder="little"
+    ).astype(bool)

@@ -13,14 +13,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Tuple
 
-from repro.utils.errors import CampaignError, WorkerCrashError
-
-_UnitT = TypeVar("_UnitT")
-_ResultT = TypeVar("_ResultT")
+from repro.utils.errors import CampaignError
 
 #: Cache budget for one shard's value matrix.  Sized for a typical
 #: desktop L2 (per-core) so the gather/scatter inner loop stays
@@ -74,72 +69,6 @@ def shard_bounds(n_items: int, shard_size: int) -> List[Tuple[int, int]]:
         (start, min(start + shard_size, n_items))
         for start in range(0, n_items, shard_size)
     ]
-
-
-def map_in_forks(
-    worker: Callable[[_UnitT], _ResultT],
-    units: Sequence[_UnitT],
-    jobs: int,
-) -> List[_ResultT]:
-    """``[worker(unit) for unit in units]`` over fork worker processes.
-
-    Results come back in ``units`` order.  ``worker`` must be a
-    module-level callable; non-picklable context (netlists, trained
-    models) travels through a module global set before the pool forks,
-    exactly like the campaign runner's ``_WORKER_RUNNER`` pattern.
-    Degrades to in-process execution when ``jobs <= 1``, when there is
-    at most one unit, or on platforms without the fork start method —
-    the in-process path and the fork path are the same per-unit code,
-    so results are identical either way.  In-process worker exceptions
-    propagate with their original type; on the fork path, a worker
-    exception or a worker process *death* (segfault, OOM kill —
-    surfaced by the executor as ``BrokenProcessPool``) is wrapped into
-    a typed :class:`~repro.utils.errors.WorkerCrashError` that names
-    the first failing unit (in ``units`` order) and carries every
-    sibling result that had already completed, instead of discarding
-    them; the original exception rides along as ``__cause__``.
-
-    This is the supervision-free fallback path; sustained fan-out goes
-    through :class:`repro.utils.workerpool.WorkerPool`, which restarts
-    dead workers and quarantines poison units instead of raising.
-    """
-    jobs = resolve_jobs(jobs)
-    context = fork_context()
-    if jobs <= 1 or len(units) <= 1 or context is None:
-        return [worker(unit) for unit in units]
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(units)), mp_context=context,
-    ) as pool:
-        futures = [pool.submit(worker, unit) for unit in units]
-        results: List[_ResultT] = []
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as error:  # noqa: BLE001 — wrapped
-                completed = dict(enumerate(results))
-                completed.update(
-                    (position, sibling.result())
-                    for position, sibling in enumerate(futures)
-                    if position > index and sibling.done()
-                    and not sibling.cancelled()
-                    and sibling.exception() is None
-                )
-                what = (
-                    "fork worker died executing"
-                    if isinstance(error, BrokenProcessPool)
-                    else "fork worker raised "
-                         f"{type(error).__name__} executing"
-                )
-                raise WorkerCrashError(
-                    f"{what} unit {index} of {len(units)} ({error}); "
-                    f"{len(completed)} sibling unit(s) completed and "
-                    "were harvested",
-                    unit_index=index,
-                    completed=completed,
-                ) from error
-        return results
 
 
 def fork_context() -> Optional[multiprocessing.context.BaseContext]:

@@ -9,6 +9,7 @@ from repro.netlist import Netlist
 from repro.sim import (
     BitParallelSimulator,
     Simulator,
+    StuckAt,
     random_workload,
 )
 from repro.fi.faults import full_fault_universe
@@ -104,9 +105,9 @@ def test_fault_pass_matches_mutated_scalar_simulation(seed):
     engine = BitParallelSimulator(netlist)
     fault_nets = np.array([fault.net_index for fault in faults])
     fault_values = np.array([fault.stuck_at for fault in faults])
-    error_cycles, detection, latent = engine.run_fault_pass(
-        workload, fault_nets, fault_values
-    )
+    error_cycles, detection, latent = engine.run_pass(
+        [workload], StuckAt(fault_nets, fault_values)
+    ).row(0)
 
     golden = Simulator(netlist).run(workload).outputs
     rng = np.random.default_rng(seed)
@@ -145,11 +146,12 @@ def test_fault_on_dead_branch_is_latent_or_benign():
     engine = BitParallelSimulator(netlist)
     workload = random_workload(netlist, cycles=20, seed=0,
                                reset_input="a")
-    error_cycles, detection, latent = engine.run_fault_pass(
-        workload,
-        np.array([fault.net_index for fault in faults]),
-        np.array([fault.stuck_at for fault in faults]),
-    )
+    error_cycles, detection, latent = engine.run_pass(
+        [workload], StuckAt(
+            np.array([fault.net_index for fault in faults]),
+            np.array([fault.stuck_at for fault in faults]),
+        ),
+    ).row(0)
     for fault, errors in zip(faults, error_cycles):
         if fault.node_name.split("_")[1] in ("DEAD", "SINK", "DEAD2",
                                              "SINK2"):
@@ -166,11 +168,12 @@ def test_single_inverter_fault_always_dangerous(tiny_netlist):
         "w", tiny_netlist,
         [{"a": 1, "b": 1}, {"a": 0, "b": 0}, {"a": 1, "b": 0}],
     )
-    error_cycles, detection, latent = engine.run_fault_pass(
-        workload,
-        np.array([fault.net_index for fault in faults]),
-        np.array([fault.stuck_at for fault in faults]),
-    )
+    error_cycles, detection, latent = engine.run_pass(
+        [workload], StuckAt(
+            np.array([fault.net_index for fault in faults]),
+            np.array([fault.stuck_at for fault in faults]),
+        ),
+    ).row(0)
     # Every fault is observable within these 3 vectors (the AND sees
     # both polarities at y, the inverter mirrors them).
     assert (error_cycles > 0).all()
@@ -191,10 +194,11 @@ def test_many_machines_cross_word_boundary():
     workload = random_workload(netlist, cycles=10, seed=0,
                                reset_input="i0")
     engine = BitParallelSimulator(netlist)
-    error_cycles, detection, latent = engine.run_fault_pass(
-        workload,
-        np.array([fault.net_index for fault in faults]),
-        np.array([fault.stuck_at for fault in faults]),
-    )
+    error_cycles, detection, latent = engine.run_pass(
+        [workload], StuckAt(
+            np.array([fault.net_index for fault in faults]),
+            np.array([fault.stuck_at for fault in faults]),
+        ),
+    ).row(0)
     # Inverter-chain faults at the tail are certainly observable.
     assert error_cycles[-8:].max() > 0

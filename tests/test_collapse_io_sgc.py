@@ -1,5 +1,7 @@
 """Tests for fault collapsing, persistence, and the SGC model."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from repro.io import (
 from repro.models import GCNClassifier, GCNRegressor
 from repro.models.sgc import SGCClassifier
 from repro.sim import design_workloads, random_workload
-from repro.utils.errors import ModelError, ReproError
+from repro.utils.errors import CorruptArtifactError, ModelError, ReproError
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +235,33 @@ class TestPersistence:
         loaded = load_split(path)
         assert np.array_equal(loaded.train_mask, split.train_mask)
         assert np.array_equal(loaded.val_mask, split.val_mask)
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_zip"])
+    def test_load_gcn_corrupt_archive(self, icfsm_analyzer, tmp_path,
+                                      damage):
+        path = tmp_path / "gcn.npz"
+        save_gcn(icfsm_analyzer.classifier, path)
+        damage_file(path, damage)
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
+            load_gcn(path, icfsm_analyzer.data)
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_zip"])
+    def test_load_split_corrupt_archive(self, tmp_path, damage):
+        labels = np.random.default_rng(0).integers(0, 2, 40)
+        path = tmp_path / "split.npz"
+        save_split(stratified_split(labels, 0.25, seed=2), path)
+        damage_file(path, damage)
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(path))):
+            load_split(path)
+
+
+def damage_file(path, damage):
+    """Cut an archive in half, or overwrite it with non-zip bytes."""
+    data = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(data[: len(data) // 2])
+    else:
+        path.write_bytes(b"definitely not a zip archive\n" * 8)
 
 
 # ----------------------------------------------------------------------

@@ -564,6 +564,22 @@ def test_eco_traces_roundtrip_and_corruption(eco_pair, tmp_path):
     with pytest.raises(EcoError, match="corrupt or truncated"):
         EcoTraces.load(truncated)
 
+    # Hand-edited sidecars whose arrays disagree with their own name
+    # lists are refused on load, not left to an IndexError at merge.
+    edits = {
+        "output_diff_0": traces.output_diff[0][:, :, :-1],
+        "flop_end_diff_1": traces.flop_end_diff[1][1:],
+        "fault_stuck": traces.fault_stuck[1:],
+    }
+    for key, value in edits.items():
+        with np.load(path) as archive:
+            payload = {name: archive[name] for name in archive.files}
+        payload[key] = value
+        edited = tmp_path / f"edited_{key}.npz"
+        np.savez(edited, **payload)
+        with pytest.raises(EcoError, match="inconsistent"):
+            EcoTraces.load(edited)
+
 
 def test_eco_refuses_foreign_trace_sidecar(eco_pair, tmp_path):
     """A sidecar whose fingerprint does not match the baseline store

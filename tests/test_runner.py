@@ -191,15 +191,15 @@ class TestRetryCall:
         """With a deadline that only covers one backoff sleep, a
         permanently broken workload stops retrying early and lands in
         the ledger with fewer attempts than the retry budget allows."""
-        original = BitParallelSimulator.run_fault_pass
+        original = BitParallelSimulator.run_pass
         broken = suite[1].name
 
-        def flaky(self, workload, *args, **kwargs):
-            if workload.name == broken:
+        def flaky(self, workloads, *args, **kwargs):
+            if workloads[0].name == broken:
                 raise RuntimeError("injected permanent fault")
-            return original(self, workload, *args, **kwargs)
+            return original(self, workloads, *args, **kwargs)
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             flaky)
         policy = BackoffPolicy(base=30.0, multiplier=1.0, jitter=0.0,
                                max_elapsed=1.0)
@@ -252,16 +252,16 @@ class TestCheckpointResume:
         """Simulated SIGKILL after 2 completed workloads: the interrupt
         propagates (kills stay kills), checkpoints survive, and the
         resumed campaign is identical to an uninterrupted one."""
-        original = BitParallelSimulator.run_fault_pass
+        original = BitParallelSimulator.run_pass
         passes = {"n": 0}
 
-        def dying(self, workload, *args, **kwargs):
+        def dying(self, workloads, *args, **kwargs):
             if passes["n"] == 2:
                 raise KeyboardInterrupt
             passes["n"] += 1
-            return original(self, workload, *args, **kwargs)
+            return original(self, workloads, *args, **kwargs)
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             dying)
         with pytest.raises(KeyboardInterrupt):
             run_campaign(icfsm, suite, checkpoint_dir=tmp_path,
@@ -270,7 +270,7 @@ class TestCheckpointResume:
                      if path.name.startswith("workload_")]
         assert len(completed) == 2  # durable progress survived the kill
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             original)
         resumed = run_campaign(icfsm, suite, checkpoint_dir=tmp_path,
                                resume=True)
@@ -365,15 +365,15 @@ class TestGracefulDegradation:
     def test_retry_exhaustion_yields_failure_ledger(
         self, icfsm, suite, baseline, monkeypatch,
     ):
-        original = BitParallelSimulator.run_fault_pass
+        original = BitParallelSimulator.run_pass
         broken = suite[1].name
 
-        def flaky(self, workload, *args, **kwargs):
-            if workload.name == broken:
+        def flaky(self, workloads, *args, **kwargs):
+            if workloads[0].name == broken:
                 raise RuntimeError("injected harness fault")
-            return original(self, workload, *args, **kwargs)
+            return original(self, workloads, *args, **kwargs)
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             flaky)
         result = run_campaign(icfsm, suite, retries=2,
                               backoff=NO_WAIT)
@@ -396,16 +396,16 @@ class TestGracefulDegradation:
     def test_transient_failure_recovered_by_retry(
         self, icfsm, suite, baseline, monkeypatch,
     ):
-        original = BitParallelSimulator.run_fault_pass
+        original = BitParallelSimulator.run_pass
         attempts = {"n": 0}
 
-        def once_flaky(self, workload, *args, **kwargs):
+        def once_flaky(self, workloads, *args, **kwargs):
             attempts["n"] += 1
             if attempts["n"] == 1:
                 raise RuntimeError("transient")
-            return original(self, workload, *args, **kwargs)
+            return original(self, workloads, *args, **kwargs)
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             once_flaky)
         result = run_campaign(icfsm, suite, retries=1, backoff=NO_WAIT)
         assert result.complete
@@ -414,15 +414,15 @@ class TestGracefulDegradation:
     def test_hung_pass_times_out(self, icfsm, suite, monkeypatch):
         import time as time_module
 
-        original = BitParallelSimulator.run_fault_pass
+        original = BitParallelSimulator.run_pass
         hung = suite[0].name
 
-        def hang(self, workload, *args, **kwargs):
-            if workload.name == hung:
+        def hang(self, workloads, *args, **kwargs):
+            if workloads[0].name == hung:
                 time_module.sleep(5.0)
-            return original(self, workload, *args, **kwargs)
+            return original(self, workloads, *args, **kwargs)
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             hang)
         result = run_campaign(icfsm, suite[:2], timeout=0.2)
         assert [f.status for f in result.failures] == ["timeout"]
@@ -434,14 +434,14 @@ class TestGracefulDegradation:
     ):
         from repro.io import load_campaign, save_campaign
 
-        original = BitParallelSimulator.run_fault_pass
+        original = BitParallelSimulator.run_pass
 
-        def flaky(self, workload, *args, **kwargs):
-            if workload.name == suite[0].name:
+        def flaky(self, workloads, *args, **kwargs):
+            if workloads[0].name == suite[0].name:
                 raise RuntimeError("dead workload")
-            return original(self, workload, *args, **kwargs)
+            return original(self, workloads, *args, **kwargs)
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             flaky)
         result = run_campaign(icfsm, suite, backoff=NO_WAIT)
         target = tmp_path / "partial.npz"
@@ -457,21 +457,21 @@ class TestGracefulDegradation:
     ):
         """A failed workload is NOT checkpointed: a later resume
         re-simulates it and recovers the full campaign."""
-        original = BitParallelSimulator.run_fault_pass
+        original = BitParallelSimulator.run_pass
         broken = suite[2].name
 
-        def flaky(self, workload, *args, **kwargs):
-            if workload.name == broken:
+        def flaky(self, workloads, *args, **kwargs):
+            if workloads[0].name == broken:
                 raise RuntimeError("flaky box")
-            return original(self, workload, *args, **kwargs)
+            return original(self, workloads, *args, **kwargs)
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             flaky)
         partial = run_campaign(icfsm, suite, checkpoint_dir=tmp_path,
                                backoff=NO_WAIT)
         assert [f.workload for f in partial.failures] == [broken]
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             original)
         recovered = run_campaign(icfsm, suite, checkpoint_dir=tmp_path,
                                  resume=True)

@@ -209,10 +209,10 @@ class TestShardedCheckpointing:
         run_campaign(icfsm, suite, shard_size=200, jobs=2,
                      checkpoint_dir=tmp_path)
 
-        def exploding_pass(self, workload, *args, **kwargs):
+        def exploding_pass(self, workloads, *args, **kwargs):
             raise AssertionError("resume re-simulated a finished unit")
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             exploding_pass)
         resumed = run_campaign(icfsm, suite, shard_size=200,
                                checkpoint_dir=tmp_path, resume=True)
@@ -230,16 +230,16 @@ class TestShardedCheckpointing:
 class TestParallelFailures:
     def test_failed_unit_names_its_shard(self, icfsm, suite,
                                          monkeypatch):
-        real = BitParallelSimulator.run_fault_pass
+        real = BitParallelSimulator.run_pass
         boom = {"count": 0}
 
-        def flaky_pass(self, workload, nets, values, **kwargs):
-            if boom["count"] == 0 and len(nets) < 526:
+        def flaky_pass(self, workloads, injection, **kwargs):
+            if boom["count"] == 0 and len(injection.nets) < 526:
                 boom["count"] += 1
                 raise RuntimeError("injected harness fault")
-            return real(self, workload, nets, values, **kwargs)
+            return real(self, workloads, injection, **kwargs)
 
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             flaky_pass)
         result = run_campaign(icfsm, suite, shard_size=300)
         assert len(result.failures) == 1
@@ -250,16 +250,16 @@ class TestParallelFailures:
 
     def test_parallel_failure_lands_in_ledger(self, icfsm, suite,
                                               baseline, monkeypatch):
-        real = BitParallelSimulator.run_fault_pass
+        real = BitParallelSimulator.run_pass
         victim = suite[0].name
 
-        def doomed_pass(self, workload, *args, **kwargs):
-            if workload.name == victim:
+        def doomed_pass(self, workloads, *args, **kwargs):
+            if workloads[0].name == victim:
                 raise RuntimeError("worker-side crash")
-            return real(self, workload, *args, **kwargs)
+            return real(self, workloads, *args, **kwargs)
 
         # fork workers inherit the monkeypatched class
-        monkeypatch.setattr(BitParallelSimulator, "run_fault_pass",
+        monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             doomed_pass)
         result = run_campaign(icfsm, suite, jobs=2)
         assert [f.workload for f in result.failures] == [victim]

@@ -6,7 +6,12 @@ import pytest
 from repro.fi import dataset_from_campaign, faults_for_nodes, run_campaign
 from repro.netlist import validate
 from repro.netlist.transform import harden_nodes, hardened_node_names
-from repro.sim import BitParallelSimulator, Simulator, random_workload
+from repro.sim import (
+    BitParallelSimulator,
+    Simulator,
+    StuckAt,
+    random_workload,
+)
 
 
 def test_hardening_preserves_behaviour(icfsm):
@@ -36,11 +41,12 @@ def test_single_fault_on_replica_is_masked(icfsm):
     target = None
     for candidate in icfsm.node_names()[5:60]:
         plain_faults = faults_for_nodes(icfsm, [candidate])
-        plain_errors, _, _ = plain_engine.run_fault_pass(
-            workload,
-            np.array([fault.net_index for fault in plain_faults]),
-            np.array([fault.stuck_at for fault in plain_faults]),
-        )
+        plain_errors = plain_engine.run_pass(
+            [workload], StuckAt(
+                np.array([fault.net_index for fault in plain_faults]),
+                np.array([fault.stuck_at for fault in plain_faults]),
+            ),
+        ).error_cycles[0]
         if plain_errors.min() > 0:  # both polarities observable
             target = candidate
             break
@@ -49,11 +55,12 @@ def test_single_fault_on_replica_is_masked(icfsm):
     hardened = harden_nodes(icfsm, [target])
     faults = faults_for_nodes(hardened, [target])
     engine = BitParallelSimulator(hardened)
-    error_cycles, detection, latent = engine.run_fault_pass(
-        workload,
-        np.array([fault.net_index for fault in faults]),
-        np.array([fault.stuck_at for fault in faults]),
-    )
+    error_cycles, detection, latent = engine.run_pass(
+        [workload], StuckAt(
+            np.array([fault.net_index for fault in faults]),
+            np.array([fault.stuck_at for fault in faults]),
+        ),
+    ).row(0)
     assert (error_cycles == 0).all()
 
 

@@ -13,6 +13,7 @@ from repro.netlist import Netlist
 from repro.sim import (
     BitParallelSimulator,
     Simulator,
+    Upset,
     Workload,
     design_workloads,
     random_workload,
@@ -41,11 +42,9 @@ class TestTransientEngine:
             [{"rst": 1}] + [{"rst": 0}] * 9,
         )
         engine = BitParallelSimulator(netlist)
-        error_cycles, detection, latent = engine.run_transient_pass(
-            workload,
-            np.array([flop.output]),
-            np.array([4]),
-        )
+        error_cycles, detection, latent = engine.run_pass(
+            [workload], Upset(np.array([flop.output]), np.array([4])),
+        ).row(0)
         # Bit 0 of a free-running counter: flipping it changes q_0 on
         # every subsequent cycle and q_1 thereafter — detected at the
         # injection cycle, erroneous until the end.
@@ -56,11 +55,12 @@ class TestTransientEngine:
         workload = random_workload(icfsm, cycles=40, seed=0)
         flops = icfsm.sequential_gates()
         engine = BitParallelSimulator(icfsm)
-        error_cycles, detection, latent = engine.run_transient_pass(
-            workload,
-            np.array([gate.output for gate in flops[:10]]),
-            np.full(10, 5),
-        )
+        error_cycles, detection, latent = engine.run_pass(
+            [workload], Upset(
+                np.array([gate.output for gate in flops[:10]]),
+                np.full(10, 5),
+            ),
+        ).row(0)
         assert len(error_cycles) == 10
         assert (error_cycles >= 0).all()
 
@@ -70,8 +70,8 @@ class TestTransientEngine:
         engine = BitParallelSimulator(tiny_netlist)
         gate = tiny_netlist.gates[0]  # AN2 — not a flop
         with pytest.raises(SimulationError, match="flip-flop"):
-            engine.run_transient_pass(
-                workload, np.array([gate.output]), np.array([1])
+            engine.run_pass(
+                [workload], Upset(np.array([gate.output]), np.array([1]))
             )
 
     def test_rejects_out_of_range_cycle(self):
@@ -80,8 +80,8 @@ class TestTransientEngine:
         workload = Workload.from_dicts("w", netlist, [{"rst": 0}] * 5)
         engine = BitParallelSimulator(netlist)
         with pytest.raises(SimulationError, match="injection cycle"):
-            engine.run_transient_pass(
-                workload, np.array([flop.output]), np.array([9])
+            engine.run_pass(
+                [workload], Upset(np.array([flop.output]), np.array([9]))
             )
 
     def test_matches_scalar_flip(self):
@@ -105,9 +105,9 @@ class TestTransientEngine:
         outputs = np.array(outputs, dtype=np.uint8)
 
         engine = BitParallelSimulator(netlist)
-        error_cycles, detection, latent = engine.run_transient_pass(
-            workload, np.array([flop.output]), np.array([6])
-        )
+        error_cycles, detection, latent = engine.run_pass(
+            [workload], Upset(np.array([flop.output]), np.array([6]))
+        ).row(0)
         expected_errors = int((outputs != golden).any(axis=1).sum())
         assert error_cycles[0] == expected_errors
         mismatch_cycles = np.flatnonzero((outputs != golden).any(axis=1))

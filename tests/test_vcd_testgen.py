@@ -7,7 +7,13 @@ import pytest
 
 from repro.fi import full_fault_universe
 from repro.fi.testgen import generate_compact_workloads
-from repro.sim import BitParallelSimulator, Simulator, Workload, random_workload
+from repro.sim import (
+    BitParallelSimulator,
+    Simulator,
+    StuckAt,
+    Workload,
+    random_workload,
+)
 from repro.sim.vcd import dump_vcd, trace_to_vcd
 from repro.utils.errors import SimulationError
 
@@ -100,11 +106,12 @@ class TestCompaction:
         engine = BitParallelSimulator(icfsm)
         detected = np.zeros(len(faults), dtype=bool)
         for workload in result.workloads:
-            errors, _, _ = engine.run_fault_pass(
-                workload,
-                np.array([fault.net_index for fault in faults]),
-                np.array([fault.stuck_at for fault in faults]),
-            )
+            errors = engine.run_pass(
+                [workload], StuckAt(
+                    np.array([fault.net_index for fault in faults]),
+                    np.array([fault.stuck_at for fault in faults]),
+                ),
+            ).error_cycles[0]
             detected |= errors > 0
         assert detected.mean() == pytest.approx(result.coverage)
 
