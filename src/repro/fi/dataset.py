@@ -91,9 +91,9 @@ class CriticalityDataset:
                 "dataset has no trial counts; rebuild it via "
                 "dataset_from_campaign/generate_dataset"
             )
-        from scipy.stats import norm
+        from statistics import NormalDist
 
-        z = float(norm.ppf(0.5 + level / 2.0))
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
         n = np.asarray(self.trials, dtype=np.float64)
         p = self.scores
         denominator = 1.0 + z**2 / n

@@ -8,10 +8,14 @@ inputs/outputs are not nodes (the paper's nodes are netlist gates).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.netlist.netlist import Netlist
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def netlist_edges(netlist: Netlist) -> np.ndarray:
@@ -55,7 +59,16 @@ def netlist_to_networkx(netlist: Netlist) -> nx.DiGraph:
 
     Nodes carry ``cell``, ``instance`` and ``sequential`` attributes;
     handy for visualization and for explainer subgraph extraction.
+    networkx is an optional dependency (the ``graph`` extra), imported
+    here so that no pipeline command pays for loading it.
     """
+    try:
+        import networkx as nx
+    except ImportError as error:
+        raise ImportError(
+            "netlist_to_networkx needs networkx: "
+            "pip install repro[graph]"
+        ) from error
     graph = nx.DiGraph(name=netlist.name)
     for gate in netlist.gates:
         graph.add_node(

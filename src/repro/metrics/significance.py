@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from repro.utils.errors import ModelError
 
@@ -64,10 +63,23 @@ def mcnemar_test(
         return McNemarResult(0, 0, 1.0)
 
     k = min(a_right_b_wrong, a_wrong_b_right)
-    p_value = min(
-        1.0, 2.0 * float(binom.cdf(k, discordant, 0.5))
-    )
+    p_value = min(1.0, _two_sided_tail(k, discordant))
     return McNemarResult(a_right_b_wrong, a_wrong_b_right, p_value)
+
+
+def _two_sided_tail(k: int, n: int) -> float:
+    """``2 * P(X <= k)`` for ``X ~ Binomial(n, 1/2)``, exactly.
+
+    The tail is a sum of binomial coefficients over ``2**n``; each
+    ``C(n, i + 1)`` follows from ``C(n, i)`` by one exact integer
+    step, and the final integer division rounds correctly, so the
+    only error is the one rounding to float.
+    """
+    term = total = 1
+    for i in range(k):
+        term = term * (n - i) // (i + 1)
+        total += term
+    return (2 * total) / (1 << n)
 
 
 def pooled_mcnemar(

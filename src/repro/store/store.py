@@ -7,25 +7,32 @@ Layout::
         objects/<key[:2]>/<key>.<kind>.<ext>
 
 Objects are immutable once published: writers produce a unique temp
-file, fsync it, and atomically rename it into place
+file, fsync it, hash it, and atomically rename it into place
 (:func:`repro.io.durable_replace`), so a reader never observes a
-partial artifact and two concurrent writers of the same key — which by
-content addressing are writing identical bytes' worth of meaning —
-leave exactly one valid object, whichever rename lands last.
+partial artifact.  The rename and the index update that records the
+object's sha256 happen together under an exclusive ``flock`` on
+``<directory>/index.lock``, and the update is merged into the index
+on disk rather than overwriting it with this process's snapshot; so
+two concurrent writers of the same key — which by content addressing
+are writing identical bytes' worth of meaning — leave exactly one
+valid object, recorded with its own hash, whichever rename lands last.
 
 The index is *advisory*: it carries per-entry size/sha256/LRU-tick
 plus searchable ``meta`` (what the ECO near-miss probe matches on),
 and it is rewritten atomically on every mutation.  A lost update from
-a concurrent process, a crash between object rename and index write,
-or a deleted/corrupt index never loses artifacts — :meth:`_load_index`
-reconciles against a directory scan, adopting orphaned objects and
-dropping ghost entries.  Validation failures on read (truncated zip,
-bad JSON, sha256 mismatch, wrong shapes) are demoted to a logged miss:
-the entry is deleted and the caller recomputes and rewrites it.
+a concurrent reader, a crash between object rename and index write,
+or a deleted/corrupt index never loses artifacts — the index is
+reconciled against a directory scan on load and on every publish,
+adopting orphaned objects and dropping ghost entries.  Validation
+failures on read (truncated zip, bad JSON, sha256 mismatch, wrong
+shapes) are demoted to a logged miss: the entry is deleted and the
+caller recomputes and rewrites it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import logging
@@ -42,6 +49,7 @@ PathLike = Union[str, Path]
 logger = logging.getLogger("repro.store")
 
 INDEX_NAME = "index.json"
+LOCK_NAME = "index.lock"
 INDEX_VERSION = 1
 
 #: Default size cap: generous for the built-in designs (a full 4-design
@@ -95,7 +103,8 @@ class ArtifactStore:
         self.directory = Path(directory)
         self.objects_dir = self.directory / "objects"
         self.objects_dir.mkdir(parents=True, exist_ok=True)
-        self._index = self._load_index()
+        self._index = self._fresh_index()
+        self._merge_disk_index()
         if byte_budget is not None:
             self._index["byte_budget"] = int(byte_budget)
             self._write_index()
@@ -182,19 +191,25 @@ class ArtifactStore:
                 os.fsync(descriptor)
             finally:
                 os.close(descriptor)
-            durable_replace(temporary, path)
+            # Size and hash the bytes this process wrote, before the
+            # rename and outside the lock.
+            size = temporary.stat().st_size
+            sha256 = _sha256_file(temporary)
+            with self._index_lock():
+                self._merge_disk_index()
+                durable_replace(temporary, path)
+                self._index["entries"][key] = {
+                    "kind": kind,
+                    "size": size,
+                    "sha256": sha256,
+                    "tick": self._next_tick(),
+                    "meta": dict(meta or {}),
+                }
+                self._gc_locked()
+                self._write_index()
         finally:
             if temporary.exists():
                 temporary.unlink()
-        self._index["entries"][key] = {
-            "kind": kind,
-            "size": path.stat().st_size,
-            "sha256": _sha256_file(path),
-            "tick": self._next_tick(),
-            "meta": dict(meta or {}),
-        }
-        self._gc_locked()
-        self._write_index()
         return path
 
     def contains(self, key: str, kind: str) -> bool:
@@ -312,31 +327,57 @@ class ArtifactStore:
             json.dumps(self._index, indent=1, sort_keys=True),
         )
 
-    def _load_index(self) -> dict:
-        index = self._fresh_index()
+    @contextlib.contextmanager
+    def _index_lock(self):
+        """Exclusive across processes: publishing an object and
+        recording it in the index happen as one step."""
+        descriptor = os.open(str(self.directory / LOCK_NAME),
+                             os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(descriptor, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(descriptor)  # closing releases the lock
+
+    def _merge_disk_index(self) -> None:
+        """Rebase this process's index on the one on disk and reconcile
+        it with the object tree.  Under :meth:`_index_lock` an entry
+        another process wrote since this snapshot is then neither lost
+        nor overwritten by a stale one.  Counters and the LRU clock
+        only move forward."""
+        loaded = self._read_index_file()
+        if loaded is not None:
+            merged = self._fresh_index()
+            merged.update(loaded)
+            for counter in ("tick", "hits", "misses"):
+                merged[counter] = max(int(merged[counter]),
+                                      int(self._index[counter]))
+            self._index = merged
+        self._reconcile()
+
+    def _read_index_file(self) -> Optional[dict]:
+        """The index on disk, or ``None`` if it is missing or unusable."""
         try:
             loaded = json.loads(
                 self.index_path.read_text(encoding="utf-8")
             )
-            if (isinstance(loaded, dict)
-                    and loaded.get("version") == INDEX_VERSION
-                    and isinstance(loaded.get("entries"), dict)):
-                index.update(loaded)
-            else:
-                logger.warning(
-                    "store index %s is unusable — rebuilding from "
-                    "directory scan", self.index_path,
-                )
         except FileNotFoundError:
-            pass
+            return None
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             logger.warning(
                 "store index %s is corrupt (%s) — rebuilding from "
                 "directory scan", self.index_path, error,
             )
-        self._index = index
-        self._reconcile()
-        return index
+            return None
+        if (isinstance(loaded, dict)
+                and loaded.get("version") == INDEX_VERSION
+                and isinstance(loaded.get("entries"), dict)):
+            return loaded
+        logger.warning(
+            "store index %s is unusable — rebuilding from directory "
+            "scan", self.index_path,
+        )
+        return None
 
     def _reconcile(self) -> None:
         """Sync index entries with the objects actually on disk."""

@@ -27,6 +27,35 @@ class TestConfidenceIntervals:
         assert low[0] == pytest.approx(0.3968, abs=1e-3)
         assert high[0] == pytest.approx(0.8922, abs=1e-3)
 
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99,
+                                       0.999])
+    def test_wilson_z_matches_scipy_normal_quantile(self, level):
+        """Intervals built on the stdlib normal quantile match the same
+        formula built on scipy's ``norm.ppf``."""
+        from scipy.stats import norm
+
+        scores = np.array([0.0, 0.05, 0.5, 0.7, 1.0])
+        trials = np.array([1, 20, 40, 10, 200])
+        dataset = CriticalityDataset(
+            design="d", node_names=list("abcde"), scores=scores,
+            labels=(scores >= 0.5).astype(int), threshold=0.5,
+            n_workloads=1, trials=trials,
+        )
+        low, high = dataset.confidence_intervals(level)
+        z = norm.ppf(0.5 + level / 2.0)
+        n = trials.astype(np.float64)
+        denominator = 1.0 + z**2 / n
+        center = (scores + z**2 / (2 * n)) / denominator
+        margin = (z / denominator) * np.sqrt(
+            scores * (1 - scores) / n + z**2 / (4 * n**2)
+        )
+        np.testing.assert_allclose(
+            low, np.clip(center - margin, 0.0, 1.0), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            high, np.clip(center + margin, 0.0, 1.0), rtol=0, atol=1e-12
+        )
+
     def test_more_trials_narrow_intervals(self):
         def width(trials):
             dataset = CriticalityDataset(

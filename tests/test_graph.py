@@ -1,5 +1,7 @@
 """Tests for graph construction, adjacency normalization, and splits."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -47,11 +49,20 @@ def test_undirected_edges():
 
 
 def test_networkx_export(tiny_netlist):
+    pytest.importorskip("networkx")
     graph = netlist_to_networkx(tiny_netlist)
     assert graph.number_of_nodes() == 2
     assert graph.number_of_edges() == 1
     assert graph.nodes[0]["cell"] == "AN2"
     assert graph.nodes[1]["name"] == "IV_U2"
+
+
+def test_networkx_export_without_networkx_names_the_extra(
+    tiny_netlist, monkeypatch
+):
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    with pytest.raises(ImportError, match=r"pip install repro\[graph\]"):
+        netlist_to_networkx(tiny_netlist)
 
 
 def test_adjacency_matrix_binary():

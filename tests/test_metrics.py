@@ -210,3 +210,28 @@ class TestMcNemar:
         with pytest.raises(ModelError):
             mcnemar_test(np.array([1]), np.array([1, 0]),
                          np.array([1, 0]))
+
+    def test_matches_scipy_binomial_tail(self):
+        """The exact integer tail agrees with scipy's binomial CDF over
+        discordant counts up to 2000 and every split up to n // 2."""
+        from scipy.stats import binom
+
+        from repro.metrics import mcnemar_test
+
+        sizes = list(range(1, 41)) + [
+            64, 99, 128, 255, 500, 1023, 1024, 1501, 2000,
+        ]
+        worst = 0.0
+        for n in sizes:
+            splits = set(range(0, n // 2 + 1, max(1, n // 64)))
+            splits.add(n // 2)
+            for k in sorted(splits):
+                y = np.zeros(n, dtype=int)
+                a = (np.arange(n) >= k).astype(int)  # wrong on n - k
+                b = 1 - a                            # wrong on k
+                result = mcnemar_test(y, a, b)
+                assert result.a_right_b_wrong == k
+                assert result.a_wrong_b_right == n - k
+                expected = min(1.0, 2.0 * float(binom.cdf(k, n, 0.5)))
+                worst = max(worst, abs(result.p_value - expected))
+        assert worst <= 1e-12

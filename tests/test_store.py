@@ -322,6 +322,24 @@ class TestDurability:
         ]
         assert len(objects) == 1
 
+    def test_put_merges_into_index_another_store_wrote(self, tmp_path):
+        """Two stores open on one directory, as two processes would be:
+        a put from the one whose snapshot is stale must keep the other's
+        newer entry instead of writing back its own old hash."""
+        def read(path):
+            return Path(path).read_text(encoding="utf-8")
+
+        first = ArtifactStore(tmp_path)
+        second = ArtifactStore(tmp_path)
+        key, other = "b" * 64, "c" * 64
+        first.put(key, "netlist", _text_writer("// first writer"))
+        second.put(key, "netlist", _text_writer("// second writer"))
+        first.put(other, "netlist", _text_writer("// other key"))
+        reopened = ArtifactStore(tmp_path)
+        assert reopened.get(key, "netlist", read) == "// second writer"
+        assert reopened.get(other, "netlist", read) == "// other key"
+        assert reopened.stats()["entries"] == 2
+
 
 # ----------------------------------------------------------------------
 # memoized pipeline: warm == cold, bitwise
