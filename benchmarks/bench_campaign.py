@@ -7,6 +7,9 @@ records cycles/sec, fault-experiment-cycles/sec, and the speedups of
 the sharded/parallel configurations over serial — plus a frozen
 ``seed_reference`` (the pre-optimization engine measured on the same
 workload shape) so inner-loop regressions show up as a ratio < 1.
+The ``per_workload`` row times one ``run_pass([w])`` per workload on
+the same inputs, so packed and per-workload fault-cycles/sec sit side
+by side.
 
 Runs two ways:
 
@@ -54,7 +57,30 @@ SEED_REFERENCE = {
 }
 
 
-def _measure_interleaved(design, workloads, configs, repeats=3):
+def _per_workload_loop(design, workloads):
+    """One ``run_pass([w])`` per workload over the full universe, with
+    the observation ``run_campaign`` uses: the campaign before lane
+    packing.  Returns ``(error_cycles, detection_cycle)`` matrices."""
+    from repro.fi.faults import full_fault_universe
+    from repro.fi.observation import observation_for
+    from repro.sim import BitParallelSimulator, StuckAt
+
+    faults = full_fault_universe(design)
+    injection = StuckAt(
+        np.array([fault.net_index for fault in faults], dtype=np.intp),
+        np.array([fault.stuck_at for fault in faults], dtype=np.uint8),
+    )
+    spec = observation_for(design)
+    compiled = spec.compile(design) if spec is not None else None
+    engine = BitParallelSimulator(design)
+    rows = [engine.run_pass([workload], injection,
+                            observation=compiled).row(0)
+            for workload in workloads]
+    return (np.stack([row[0] for row in rows]),
+            np.stack([row[1] for row in rows]))
+
+
+def _measure_interleaved(configs, repeats=3):
     """Best-of-N wall clock per configuration, rounds interleaved.
 
     One full round measures every configuration back to back before
@@ -64,17 +90,13 @@ def _measure_interleaved(design, workloads, configs, repeats=3):
     last — on a timeshared single-core host that drift is larger than
     the differences being measured.
     """
-    from repro.fi import run_campaign
-
     best = {name: None for name in configs}
     results = {}
     for _ in range(repeats):
-        for name, campaign_kwargs in configs.items():
+        for name, run in configs.items():
             started = time.perf_counter()
-            result = run_campaign(design, workloads,
-                                  **campaign_kwargs)
+            result = run()
             elapsed = time.perf_counter() - started
-            assert not result.failures
             results[name] = result
             if best[name] is None or elapsed < best[name]:
                 best[name] = elapsed
@@ -85,6 +107,7 @@ def run_benchmark(design_name=DESIGN, n_workloads=WORKLOADS,
                   cycles=CYCLES, jobs=2, repeats=5):
     """Measure serial / sharded / parallel and assemble the payload."""
     from repro import build_design
+    from repro.fi import run_campaign
     from repro.sim import design_workloads
 
     design = build_design(design_name)
@@ -93,22 +116,32 @@ def run_benchmark(design_name=DESIGN, n_workloads=WORKLOADS,
                                  seed=0)
     total_cycles = n_workloads * cycles
 
-    best, results = _measure_interleaved(design, workloads, {
-        "serial": {},
-        "sharded_serial": {"shard_size": "auto"},
-        "parallel": {"shard_size": "auto", "jobs": jobs},
+    def campaign(**kwargs):
+        return lambda: run_campaign(design, workloads, **kwargs)
+
+    best, results = _measure_interleaved({
+        "serial": campaign(),
+        "sharded_serial": campaign(shard_size="auto"),
+        "parallel": campaign(shard_size="auto", jobs=jobs),
+        "per_workload": lambda: _per_workload_loop(design, workloads),
     }, repeats=repeats)
-    serial_s, sharded_s, parallel_s = (
-        best["serial"], best["sharded_serial"], best["parallel"]
+    serial_s, sharded_s, parallel_s, per_workload_s = (
+        best["serial"], best["sharded_serial"], best["parallel"],
+        best["per_workload"],
     )
     serial, sharded, parallel = (
         results["serial"], results["sharded_serial"],
         results["parallel"],
     )
+    for other in (serial, sharded, parallel):
+        assert not other.failures
     for other in (sharded, parallel):
         assert np.array_equal(serial.error_cycles, other.error_cycles)
         assert np.array_equal(serial.detection_cycle,
                               other.detection_cycle)
+    loop_errors, loop_detection = results["per_workload"]
+    assert np.array_equal(serial.error_cycles, loop_errors)
+    assert np.array_equal(serial.detection_cycle, loop_detection)
 
     n_faults = len(serial.faults)
 
@@ -133,7 +166,11 @@ def run_benchmark(design_name=DESIGN, n_workloads=WORKLOADS,
         "serial": rates(serial_s),
         "sharded_serial": rates(sharded_s),
         "parallel": rates(parallel_s),
+        "per_workload": rates(per_workload_s),
         "parallel_speedup_vs_serial": round(serial_s / parallel_s, 2),
+        "packed_speedup_vs_per_workload": round(
+            per_workload_s / serial_s, 2
+        ),
         "seed_reference": SEED_REFERENCE,
         "serial_speedup_vs_seed": round(
             (n_faults * total_cycles / serial_s)

@@ -497,17 +497,21 @@ def main(argv=None) -> int:
                                "--checkpoint-dir")
     campaign.add_argument("--timeout", type=float, default=None,
                           metavar="SECONDS",
-                          help="abandon a fault pass that runs longer "
-                               "than this")
+                          help="abandon a unit's fault pass (one group "
+                               "of same-length workloads x one fault "
+                               "shard) that runs longer than this")
     campaign.add_argument("--retries", type=int, default=0,
                           metavar="N",
-                          help="retries per workload after a failed or "
-                               "hung pass (exhaustion lands in the "
-                               "failure ledger)")
+                          help="retries per unit after a failed or "
+                               "hung pass (exhaustion puts each of "
+                               "the unit's workloads in the failure "
+                               "ledger)")
     campaign.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="worker processes for (workload x "
-                               "shard) units (0 = all cores; results "
-                               "are bitwise identical to --jobs 1)")
+                          help="worker processes for (workload group "
+                               "x shard) units; a group holds at most "
+                               "ceil(workloads / N) workloads (0 = all "
+                               "cores; results are bitwise identical "
+                               "to --jobs 1)")
     campaign.add_argument("--shard-size", type=_parse_shard_size,
                           default=0, metavar="N|auto",
                           help="faults simulated per shard (0 = whole "

@@ -13,8 +13,11 @@ design, clean rows are copied verbatim from the cached baseline — a
 matrix bitwise identical to full re-extraction, stable for clean nodes
 even across library drift in the recomputed path.
 
-(Extraction is cheap next to the campaign — the point of patching is
-artifact stability and validating the dirty region, not wall-clock.)
+(Patching re-extracts the whole edited design, so it costs one full
+extraction.  That is cheap: the golden simulation behind the
+probability features packs one lane per workload into one pass per
+cycle count.  The point of patching is artifact stability and
+validating the dirty region, not wall-clock.)
 """
 
 from __future__ import annotations

@@ -2,15 +2,15 @@
 
 A checkpoint store is a directory holding one ``manifest.json``
 describing the campaign configuration plus one ``.npz`` per *completed*
-unit of work.  The unit is ``(workload, fault shard)``: an unsharded
-campaign writes the classic one-file-per-workload layout
-(``workload_NNNN.npz``), a sharded one writes
-``workload_NNNN_shard_SSS.npz`` per shard, so a killed multi-core
-campaign resumes at shard granularity.  Completion is defined by the
-atomic rename in :func:`repro.io.save_workload_checkpoint`: a unit file
-either exists in full or not at all, so a campaign killed at any
-instant — including mid-write — resumes cleanly from the last whole
-unit.
+``(workload, fault shard)`` row.  The runner packs several workloads
+into one unit of work, but records each row of a finished unit in its
+own file: an unsharded campaign writes the classic
+one-file-per-workload layout (``workload_NNNN.npz``), a sharded one
+writes ``workload_NNNN_shard_SSS.npz`` per shard, so a resume simply
+regroups the rows still pending.  Completion is defined by the atomic
+rename in :func:`repro.io.save_workload_checkpoint`: a row file either
+exists in full or not at all, so a campaign killed at any instant —
+including mid-write — resumes cleanly from the last whole row.
 
 The manifest and every workload file carry a *fingerprint* of the
 campaign configuration (netlist, fault universe, workload stimulus

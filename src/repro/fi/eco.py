@@ -904,7 +904,11 @@ def _trace_merge_dirty(
 
     from repro.utils.fingerprint import campaign_fingerprint
     from repro.fi.observation import ObservationSpec
-    from repro.sim.bitparallel import BitParallelSimulator, StuckAt
+    from repro.sim.bitparallel import (
+        BitParallelSimulator,
+        StuckAt,
+        cycle_groups,
+    )
 
     if any(not hasattr(fault, "stuck_at") for fault in dirty_faults):
         return None
@@ -1012,10 +1016,7 @@ def _trace_merge_dirty(
     # (per-workload golden lanes), dividing the cone pass's per-cycle
     # dispatch cost by the group size.  Empty row selections reduce to
     # all-zero words, i.e. no contribution.
-    by_cycles: Dict[int, List[int]] = {}
-    for row, workload in enumerate(remapped):
-        by_cycles.setdefault(workload.cycles, []).append(row)
-    for rows in by_cycles.values():
+    for rows in cycle_groups(remapped):
         packed = engine.run_pass(
             [remapped[row] for row in rows], injection,
             observation=compiled, trace=True,

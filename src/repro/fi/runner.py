@@ -1,14 +1,23 @@
-"""Resilient campaign execution: sharding, multi-core fan-out,
-supervision, retry, checkpoint/resume.
+"""Resilient campaign execution: lane packing, sharding, multi-core
+fan-out, supervision, retry, checkpoint/resume.
 
 The FI campaign is the expensive, ground-truth-generating stage of the
 whole pipeline, so its runner must survive faults in the *harness* as
 well as inject them into the DUT — and it must use the whole host,
 because fault-simulation throughput is what caps dataset size.
 :class:`CampaignRunner` splits the (collapsed) fault universe into
-bounded-memory shards and executes each ``(workload, shard)`` pair as
-an independent, supervised **unit** of work:
+bounded-memory shards and executes each ``(workload group, shard)``
+pair as an independent, supervised **unit** of work:
 
+* **Lane packing** — a unit simulates a *group* of pending workloads of
+  one cycle count in a single bit-parallel pass (one lane span each),
+  so the per-cycle dispatch cost is paid once per group instead of once
+  per workload.  A group holds at most ``ceil(rows / jobs)`` workloads
+  (``rows`` pending in the shard), so ``jobs`` workers still have units
+  to share, and at most as many as keep the packed value matrix within
+  the shard budget (:func:`~repro.utils.parallel.auto_shard_size`) —
+  never fewer than one.  Each row is still scattered and checkpointed
+  on its own, so a resume regroups whatever rows are pending.
 * **Sharding** — ``policy.shard_size`` bounds the faults per unit so
   each unit's ``(n_nets, n_words)`` value matrix stays cache-resident
   (``None``/``"auto"`` sizes it from the netlist; ``0`` disables
@@ -37,16 +46,17 @@ an independent, supervised **unit** of work:
 * **Retry with backoff** — failed or hung units are retried up to
   ``policy.retries`` times with jittered exponential backoff
   (:class:`~repro.utils.retry.BackoffPolicy`).
-* **Checkpointing** — with ``policy.checkpoint_dir`` set, every
-  completed unit is durably written to disk (atomic rename), and
-  ``policy.resume=True`` reloads completed units instead of
-  re-simulating them: a campaign killed with SIGKILL at unit 15/16
-  resumes from unit 16 and produces a result identical to an
+* **Checkpointing** — with ``policy.checkpoint_dir`` set, every row of
+  a completed unit is durably written to disk (atomic rename), and
+  ``policy.resume=True`` reloads completed rows instead of
+  re-simulating them: a campaign killed with SIGKILL mid-run resumes
+  from the rows still pending and produces a result identical to an
   uninterrupted run.
-* **Graceful degradation** — a unit that exhausts its retries is
-  recorded in the result's failure ledger
-  (:class:`~repro.fi.campaign.WorkloadFailure`); the campaign completes
-  with partial results instead of discarding the other units.
+* **Graceful degradation** — a unit that exhausts its retries puts
+  every workload it carried into the result's failure ledger
+  (:class:`~repro.fi.campaign.WorkloadFailure`, one entry per
+  workload); the campaign completes with partial results instead of
+  discarding the other units.
 
 Kills stay kills: ``KeyboardInterrupt``/``SystemExit`` always
 propagate, leaving the checkpoint store intact for a later resume.
@@ -82,7 +92,11 @@ from repro.fi.checkpoint import (
 )
 from repro.fi.faults import Fault, full_fault_universe
 from repro.netlist.netlist import Netlist
-from repro.sim.bitparallel import BitParallelSimulator, StuckAt
+from repro.sim.bitparallel import (
+    BitParallelSimulator,
+    StuckAt,
+    cycle_groups,
+)
 from repro.sim.waveform import Workload
 from repro.utils.errors import CampaignError, SimulationError
 from repro.utils.parallel import (
@@ -104,13 +118,18 @@ class RunnerPolicy:
     """Resilience and throughput knobs for one campaign run.
 
     The default policy (no timeout, no retries, no checkpointing, one
-    job, no sharding) makes the runner behave exactly like a plain loop
-    over the workloads.
+    job, no sharding) gives results bitwise identical to a plain loop
+    over the workloads, with every workload of one cycle count packed
+    into one unit.
 
-    ``jobs`` is the worker-process count (``0`` = all cores);
-    ``shard_size`` bounds the faults simulated per unit (``0`` = the
-    whole universe in one shard, ``None``/``"auto"`` = sized so each
-    shard's value matrix fits in cache).
+    ``timeout`` bounds each attempt of one unit's pass and ``retries``
+    counts extra attempts per unit, where a unit is one pass over a
+    group of same-length workloads and one fault shard.  ``jobs`` is
+    the worker-process count (``0`` = all cores) and also caps a
+    group at ``ceil(rows / jobs)`` workloads; ``shard_size`` bounds
+    the faults simulated per unit (``0`` = the whole universe in one
+    shard, ``None``/``"auto"`` = sized so each shard's value matrix
+    fits in cache).
 
     The pool-supervision knobs only matter when ``jobs > 1``:
     ``max_worker_restarts`` bounds how many dead workers one campaign
@@ -176,23 +195,28 @@ class RunnerPolicy:
 
 @dataclass
 class _UnitOutcome:
-    """What one supervised (workload, shard) unit actually did."""
+    """What one supervised (workload group, shard) unit actually did."""
 
-    row: int
+    rows: Tuple[int, ...]
     shard: int
-    value: Optional[tuple]          # (error_cycles, detection, latent)
+    #: ``(error_cycles, detection, latent)``, one row per entry of
+    #: ``rows``; ``None`` unless ``status == "ok"``.
+    value: Optional[tuple]
     status: str            # "ok" | "error" | "timeout" | "worker_crash"
     attempts: int
     elapsed_seconds: float
     error: str = ""
 
 
+#: A unit of work: the campaign rows it packs and its fault shard.
+_Unit = Tuple[Tuple[int, ...], int]
+
 #: Campaign context inherited by fork workers (netlists are not
 #: picklable, so the pool must fork after this is set).
 _WORKER_RUNNER: Optional["CampaignRunner"] = None
 
 
-def _worker_unit(unit: Tuple[int, int]) -> _UnitOutcome:
+def _worker_unit(unit: _Unit) -> _UnitOutcome:
     """Pool entry point: run one supervised unit in a fork worker."""
     runner = _WORKER_RUNNER
     if runner is None:
@@ -210,8 +234,8 @@ class CampaignRunner:
     universe validation, policy resolution, observation compilation,
     fault collapsing, shard planning) so misconfiguration fails before
     any simulation or checkpoint I/O happens.  :meth:`run` then
-    executes the (workload x shard) units under the resilience policy
-    and assembles the :class:`~repro.fi.campaign.CampaignResult`.
+    executes the (workload group x shard) units under the resilience
+    policy and assembles the :class:`~repro.fi.campaign.CampaignResult`.
     """
 
     def __init__(
@@ -329,7 +353,7 @@ class CampaignRunner:
         failures: List[Tuple[int, int, WorkloadFailure]] = []
         total_elapsed = 0.0
 
-        pending: List[Tuple[int, int]] = []
+        pending: Dict[int, List[int]] = {}
         for row in range(n_workloads):
             for shard in range(self.n_shards):
                 if (row, shard) in completed:
@@ -341,38 +365,35 @@ class CampaignRunner:
                     ))
                     total_elapsed += checkpoint["elapsed_seconds"]
                 else:
-                    pending.append((row, shard))
+                    pending.setdefault(shard, []).append(row)
 
         jobs = resolve_jobs(self.policy.jobs)
-        if jobs > 1 and len(pending) > 1:
-            outcomes = self._parallel_outcomes(pending, jobs)
+        units = self._plan_units(pending, jobs)
+        if jobs > 1 and len(units) > 1:
+            outcomes = self._parallel_outcomes(units, jobs)
         else:
-            outcomes = (
-                self._run_unit(row, shard) for row, shard in pending
-            )
+            outcomes = (self._run_unit(*unit) for unit in units)
 
         try:
             for outcome in outcomes:
                 total_elapsed += outcome.elapsed_seconds
                 if outcome.status != "ok":
-                    failures.append((
-                        outcome.row, outcome.shard,
-                        self._failure(outcome),
-                    ))
+                    failures.extend(self._failures(outcome))
                     continue
-                self._scatter(arrays, outcome.row, outcome.shard,
-                              outcome.value)
-                if store is not None:
-                    row_errors, row_detection, row_latent = (
-                        outcome.value
-                    )
-                    store.record(
-                        outcome.row, outcome.shard,
-                        error_cycles=row_errors,
-                        detection_cycle=row_detection,
-                        latent=row_latent,
-                        elapsed_seconds=outcome.elapsed_seconds,
-                    )
+                # Each row checkpoints its share of the unit's wall
+                # time, so a resumed total counts the unit once.
+                share = outcome.elapsed_seconds / len(outcome.rows)
+                for position, row in enumerate(outcome.rows):
+                    value = tuple(part[position] for part in outcome.value)
+                    self._scatter(arrays, row, outcome.shard, value)
+                    if store is not None:
+                        store.record(
+                            row, outcome.shard,
+                            error_cycles=value[0],
+                            detection_cycle=value[1],
+                            latent=value[2],
+                            elapsed_seconds=share,
+                        )
         finally:
             # An interrupt mid-iteration must tear the worker pool
             # down *now* (not at GC): closing the generator runs its
@@ -400,8 +421,33 @@ class CampaignRunner:
         )
 
     # -- internals -----------------------------------------------------
+    def _plan_units(self, pending: Dict[int, List[int]],
+                    jobs: int) -> List[_Unit]:
+        """Pack each shard's pending rows into units, row-major.
+
+        Rows of one cycle count share a unit, at most
+        ``ceil(rows / jobs)`` of them so ``jobs`` workers each get one,
+        and at most as many as keep the packed value matrix within the
+        shard budget (one row always fits, however large).
+        """
+        budget_lanes = auto_shard_size(self.netlist.n_nets) + 1
+        units: List[_Unit] = []
+        for shard, rows in pending.items():
+            lo, hi = self._shards[shard]
+            size = max(1, min(-(-len(rows) // jobs),
+                              budget_lanes // (hi - lo + 1)))
+            for positions in cycle_groups(
+                [self.workloads[row] for row in rows]
+            ):
+                group = [rows[position] for position in positions]
+                units.extend(
+                    (tuple(group[start:start + size]), shard)
+                    for start in range(0, len(group), size)
+                )
+        return sorted(units)
+
     def _scatter(self, arrays, row: int, shard: int, value) -> None:
-        """Merge one unit's per-representative columns into the full
+        """Merge one row's per-representative columns into the full
         original-fault-axis result matrices (shard-aware expansion)."""
         from repro.fi.collapse import expand_shard
 
@@ -417,26 +463,28 @@ class CampaignRunner:
             )
             target[row, original] = expanded
 
-    def _failure(self, outcome: _UnitOutcome) -> WorkloadFailure:
-        workload = self.workloads[outcome.row]
+    def _failures(self, outcome: _UnitOutcome
+                  ) -> List[Tuple[int, int, WorkloadFailure]]:
+        """One ledger entry per workload of a failed unit."""
         error = outcome.error
         if self.n_shards > 1:
             lo, hi = self._shards[outcome.shard]
             error = (
                 f"shard {outcome.shard} (faults {lo}:{hi}): {error}"
             )
-        return WorkloadFailure(
-            workload=workload.name,
-            status=outcome.status,
-            attempts=outcome.attempts,
-            elapsed_seconds=outcome.elapsed_seconds,
-            error=error,
-        )
+        return [
+            (row, outcome.shard, WorkloadFailure(
+                workload=self.workloads[row].name,
+                status=outcome.status,
+                attempts=outcome.attempts,
+                elapsed_seconds=outcome.elapsed_seconds,
+                error=error,
+            ))
+            for row in outcome.rows
+        ]
 
-    def _parallel_outcomes(
-        self, pending: Sequence[Tuple[int, int]], jobs: int,
-    ):
-        """Fan pending units out over the persistent supervised pool.
+    def _parallel_outcomes(self, units: Sequence[_Unit], jobs: int):
+        """Fan units out over the persistent supervised pool.
 
         Workers fork once, *after* the shared simulation engine is
         built, so every child inherits the full campaign context —
@@ -446,15 +494,15 @@ class CampaignRunner:
         moment results exist.  A worker death (segfault, OOM kill)
         requeues the unit it held and respawns the worker under
         ``policy.max_worker_restarts``; a unit that keeps killing its
-        hosts is quarantined as a ``worker_crash`` ledger entry
+        hosts is quarantined as ``worker_crash`` ledger entries
         instead of aborting the campaign.
         """
         global _WORKER_RUNNER
 
         if fork_context() is None:
             # No fork on this platform: degrade to in-process execution.
-            for row, shard in pending:
-                yield self._run_unit(row, shard)
+            for unit in units:
+                yield self._run_unit(*unit)
             return
 
         # Build the engine pre-fork: children inherit the constructed
@@ -469,11 +517,11 @@ class CampaignRunner:
         _WORKER_RUNNER = self
         try:
             with WorkerPool(_worker_unit, pool_policy) as pool:
-                for result in pool.run(list(pending)):
-                    row, shard = pending[result.index]
+                for result in pool.run(list(units)):
+                    rows, shard = units[result.index]
                     if result.crash is not None:
                         yield _UnitOutcome(
-                            row=row, shard=shard, value=None,
+                            rows=rows, shard=shard, value=None,
                             status="worker_crash",
                             attempts=max(result.crash.kills, 1),
                             elapsed_seconds=0.0,
@@ -481,7 +529,7 @@ class CampaignRunner:
                         )
                     elif result.error is not None:
                         yield _UnitOutcome(
-                            row=row, shard=shard, value=None,
+                            rows=rows, shard=shard, value=None,
                             status="error", attempts=1,
                             elapsed_seconds=0.0,
                             error=f"campaign worker failed: "
@@ -492,12 +540,13 @@ class CampaignRunner:
         finally:
             _WORKER_RUNNER = None
 
-    def _run_unit(self, row: int, shard: int) -> _UnitOutcome:
-        """One supervised unit: retry/timeout around a shard pass."""
-        workload = self.workloads[row]
+    def _run_unit(self, rows: Tuple[int, ...],
+                  shard: int) -> _UnitOutcome:
+        """One supervised unit: retry/timeout around a packed pass."""
+        workloads = [self.workloads[row] for row in rows]
         started = time.perf_counter()
         value, outcome = retry_call(
-            lambda: self._attempt(workload, shard),
+            lambda: self._attempt(workloads, shard),
             retries=self.policy.retries,
             backoff=self.policy.backoff or BackoffPolicy(),
             sleep=self._sleep,
@@ -505,11 +554,11 @@ class CampaignRunner:
         elapsed = time.perf_counter() - started
         if outcome.succeeded:
             return _UnitOutcome(
-                row=row, shard=shard, value=value, status="ok",
+                rows=rows, shard=shard, value=value, status="ok",
                 attempts=outcome.attempts, elapsed_seconds=elapsed,
             )
         return _UnitOutcome(
-            row=row, shard=shard, value=None,
+            rows=rows, shard=shard, value=None,
             status=(
                 "timeout"
                 if isinstance(outcome.error, PassTimeout) else "error"
@@ -519,10 +568,10 @@ class CampaignRunner:
             error=str(outcome.error),
         )
 
-    def _attempt(self, workload: Workload, shard: int):
+    def _attempt(self, workloads: List[Workload], shard: int):
         """One supervised fault-pass attempt for one unit."""
         if self.policy.timeout is None:
-            return self._pass(workload, shard, self._shared_engine())
+            return self._pass(workloads, shard, self._shared_engine())
         # A timed-out pass leaves its worker thread running; never hand
         # that zombie's engine to a retry — build a fresh one per try.
         box: dict = {}
@@ -530,34 +579,36 @@ class CampaignRunner:
         def target() -> None:
             try:
                 box["value"] = self._pass(
-                    workload, shard, BitParallelSimulator(self.netlist)
+                    workloads, shard, BitParallelSimulator(self.netlist)
                 )
             except BaseException as error:  # noqa: BLE001 — relayed
                 box["error"] = error
 
         worker = threading.Thread(
             target=target, daemon=True,
-            name=f"fi-pass-{workload.name}-s{shard}",
+            name=f"fi-pass-{workloads[0].name}-s{shard}",
         )
         worker.start()
         worker.join(self.policy.timeout)
         if worker.is_alive():
+            names = ", ".join(repr(workload.name) for workload in workloads)
             raise PassTimeout(
-                f"workload {workload.name!r}: fault pass still "
-                f"running after {self.policy.timeout}s"
+                f"workload(s) {names}: fault pass still running after "
+                f"{self.policy.timeout}s"
             )
         if "error" in box:
             raise box["error"]
         return box["value"]
 
-    def _pass(self, workload: Workload, shard: int,
+    def _pass(self, workloads: List[Workload], shard: int,
               engine: BitParallelSimulator):
         lo, hi = self._shards[shard]
-        return engine.run_pass(
-            [workload],
+        result = engine.run_pass(
+            workloads,
             StuckAt(self._fault_nets[lo:hi], self._fault_values[lo:hi]),
             observation=self._compiled,
-        ).row(0)
+        )
+        return result.error_cycles, result.detection_cycle, result.latent
 
     def _shared_engine(self) -> BitParallelSimulator:
         if self._engine is None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.fi.campaign import DEFAULT_SEVERITY, CampaignResult
 from repro.netlist.netlist import Netlist
-from repro.sim.bitparallel import BitParallelSimulator, Upset
+from repro.sim.bitparallel import BitParallelSimulator, Upset, cycle_groups
 from repro.sim.waveform import Workload
 from repro.utils.errors import SimulationError
 from repro.utils.rng import SeedLike, derive_rng
@@ -140,10 +140,12 @@ def run_transient_campaign(
     latent = np.zeros((n_workloads, n_faults), dtype=bool)
 
     started = time.perf_counter()
-    for row, workload in enumerate(workloads):
-        error_cycles[row], detection[row], latent[row] = engine.run_pass(
-            [workload], upsets, observation=compiled
-        ).row(0)
+    for rows in cycle_groups(workloads):
+        packed = engine.run_pass([workloads[row] for row in rows], upsets,
+                                 observation=compiled)
+        error_cycles[rows] = packed.error_cycles
+        detection[rows] = packed.detection_cycle
+        latent[rows] = packed.latent
     elapsed = time.perf_counter() - started
 
     return CampaignResult(

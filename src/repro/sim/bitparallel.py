@@ -28,9 +28,15 @@ The inner loop is allocation-light on the hot path: per-word-width
 scratch buffers (gathers, output rows, mismatch masks) are built once
 and reused across cycles, constant-cell outputs are evaluated once per
 pass, fault forcing masks are gathered per group once per pass,
-stimulus is packed into per-lane words once per pass, and per-lane
+stimulus is spread from per-span bits to lane words one cycle at a time
+(so a pass never holds a cycles x inputs x words array), and per-lane
 error-cycle counts accumulate by popcounting chunks of packed mismatch
 words instead of unpacking every mismatch cycle.
+
+Every numpy dispatch of a cycle is paid once per pass, however many
+lanes it carries, so callers pack workloads of one cycle count into one
+pass (:func:`cycle_groups`): golden statistics run one lane per
+workload, fault campaigns one span per workload.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from repro.sim.waveform import Workload
 from repro.utils.errors import SimulationError
 
 ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-ZERO = np.uint64(0)
 
 #: Mismatch rows buffered between popcount flushes (64 words * 8 bytes
 #: per row keeps the buffer a few hundred KiB even for huge universes).
@@ -481,6 +486,15 @@ class BitParallelSimulator:
                 f"netlist {self.netlist.name!r}"
             )
 
+    def _stimulus(self, workloads: Sequence[Workload]) -> np.ndarray:
+        """Per-span input bits of one pass's workloads, all of one cycle
+        count: uint8 ``(cycles, n_pi, n_spans)``.  The pass spreads one
+        cycle at a time onto its lanes (:meth:`_LaneLayout.spread`)."""
+        for workload in workloads:
+            self._check_workload(workload)
+        return np.stack([workload.vectors for workload in workloads],
+                        axis=2)
+
     def _settle(
         self,
         values: np.ndarray,
@@ -536,10 +550,6 @@ class BitParallelSimulator:
         for out_idx, out in staged:
             values[out_idx] = out
 
-    def _apply_inputs(self, values: np.ndarray, bits: np.ndarray) -> None:
-        # (n_pi, 1) broadcasts across all machine words on assignment.
-        values[self._pi_idx] = np.where(bits[:, None], ONES, ZERO)
-
     def _output_diff(
         self, values: np.ndarray, layout: _LaneLayout, observation,
         scratch: _PassScratch,
@@ -562,32 +572,42 @@ class BitParallelSimulator:
     # golden runs
     # ------------------------------------------------------------------
     def golden_stats(self, workloads: Sequence[Workload]) -> GoldenStats:
-        """Accumulate per-net state/transition counts over workloads."""
+        """Accumulate per-net state/transition counts over workloads.
+
+        Each cycle-count group simulates in one pass with one lane per
+        workload.  Every cycle adds each net's popcount over the
+        group's valid lanes (constant cells drive the unused tail lanes
+        too); the group's first cycle has no predecessor, so it counts
+        no transitions.
+        """
         n_nets = self.netlist.n_nets
         ones_count = np.zeros(n_nets, dtype=np.int64)
         transition_count = np.zeros(n_nets, dtype=np.int64)
-        total_cycles = 0
-        scratch = self._scratch(1)
-        for workload in workloads:
-            self._check_workload(workload)
-            values = np.zeros((n_nets, 1), dtype=np.uint64)
-            stimulus = workload.vectors.astype(bool)
-            previous: Optional[np.ndarray] = None
-            for cycle in range(workload.cycles):
-                self._apply_inputs(values, stimulus[cycle])
+        for positions in cycle_groups(workloads):
+            stimulus = self._stimulus([workloads[p] for p in positions])
+            layout = _LaneLayout(len(positions), 0)
+            scratch = self._scratch(layout.n_words)
+            values = np.zeros((n_nets, layout.n_words), dtype=np.uint64)
+            live, previous = np.empty_like(values), np.empty_like(values)
+            ones = np.zeros(values.shape, dtype=np.int64)
+            transitions = np.zeros(values.shape, dtype=np.int64)
+            for cycle, bits in enumerate(stimulus):
+                values[self._pi_idx] = layout.spread(bits)
                 self._settle(values, None, scratch)
                 self._commit(values, None, scratch)
-                bits = (values[:, 0] & np.uint64(1)).astype(np.int64)
-                ones_count += bits
-                if previous is not None:
-                    transition_count += bits ^ previous
-                previous = bits
-            total_cycles += workload.cycles
+                np.bitwise_and(values, layout.valid, out=live)
+                ones += np.bitwise_count(live)
+                if cycle:
+                    np.bitwise_xor(live, previous, out=previous)
+                    transitions += np.bitwise_count(previous)
+                live, previous = previous, live
+            ones_count += ones.sum(axis=1)
+            transition_count += transitions.sum(axis=1)
         return GoldenStats(
             net_names=[net.name for net in self.netlist.nets],
             ones_count=ones_count,
             transition_count=transition_count,
-            cycles=total_cycles,
+            cycles=sum(workload.cycles for workload in workloads),
             workloads=len(workloads),
         )
 
@@ -596,14 +616,14 @@ class BitParallelSimulator:
 
         Used by cross-check tests against the scalar simulator.
         """
-        self._check_workload(workload)
+        stimulus = self._stimulus([workload])
+        layout = _LaneLayout(1, 0)
         values = np.zeros((self.netlist.n_nets, 1), dtype=np.uint64)
         outputs = np.zeros((workload.cycles, len(self._po_idx)),
                            dtype=np.uint8)
         scratch = self._scratch(1)
-        stimulus = workload.vectors.astype(bool)
-        for cycle in range(workload.cycles):
-            self._apply_inputs(values, stimulus[cycle])
+        for cycle, bits in enumerate(stimulus):
+            values[self._pi_idx] = layout.spread(bits)
             self._settle(values, None, scratch)
             outputs[cycle] = (
                 values[self._po_idx, 0] & np.uint64(1)
@@ -645,16 +665,11 @@ class BitParallelSimulator:
                 f"{sorted(cycles)}"
             )
         n_cycles = cycles.pop()
-        for workload in workloads:
-            self._check_workload(workload)
+        stimulus = self._stimulus(workloads)
 
         layout = _LaneLayout(len(workloads), len(injection.nets))
         scratch = self._scratch(layout.n_words)
         masks, values, flips = injection.arm(self, layout, n_cycles)
-        stimulus = layout.spread(np.stack(
-            [workload.vectors.astype(bool) for workload in workloads],
-            axis=2,
-        ))  # (cycles, n_pi, n_words)
         accumulator = MismatchAccumulator(layout.n_words)
         record = PassTrace.allocate(
             n_cycles, len(self._po_idx), len(self._flop_out_idx),
@@ -666,7 +681,7 @@ class BitParallelSimulator:
             if flip is not None:
                 nets, words, bits = flip
                 np.bitwise_xor.at(values, (nets, words), bits)
-            values[self._pi_idx] = stimulus[cycle]
+            values[self._pi_idx] = layout.spread(stimulus[cycle])
             self._settle(values, masks, scratch)
             diff = self._output_diff(values, layout, observation,
                                      scratch)
@@ -693,6 +708,15 @@ class BitParallelSimulator:
             latent=layout.faults(corrupted & ~observed),
             trace=record,
         )
+
+
+def cycle_groups(workloads: Sequence[Workload]) -> List[List[int]]:
+    """Positions of ``workloads`` grouped by cycle count, in order of
+    first appearance: the sets of workloads one pass can carry."""
+    groups: Dict[int, List[int]] = {}
+    for position, workload in enumerate(workloads):
+        groups.setdefault(workload.cycles, []).append(position)
+    return list(groups.values())
 
 
 def _lane_flags(mask_words: np.ndarray) -> np.ndarray:

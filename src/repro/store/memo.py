@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict
+from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
 from repro.store import keys as K
@@ -118,7 +119,7 @@ def _near_miss_campaign(store: ArtifactStore, netlist, workloads, *,
         base_netlist = store.get(
             meta["netlist"], "netlist",
             lambda path: from_verilog(
-                open(path, encoding="utf-8").read()
+                Path(path).read_text(encoding="utf-8")
             ),
         )
         if base_netlist is None:

@@ -1,12 +1,12 @@
 """Multi-core campaign plumbing: job resolution and shard sizing.
 
 The sharded campaign engine splits a fault universe into contiguous
-shards and fans (workload x shard) units out over worker processes.
-This module holds the policy arithmetic — how many workers a host can
-sustain, and how large a shard can grow before its value matrix
-(``n_nets x n_words x 8`` bytes) falls out of cache — kept free of any
-FI vocabulary so other fan-out stages (feature extraction, training
-sweeps) can reuse it.
+shards and fans (workload group x shard) units out over worker
+processes.  This module holds the policy arithmetic — how many workers
+a host can sustain, and how large a shard can grow before its value
+matrix (``n_nets x n_words x 8`` bytes) falls out of cache — kept free
+of any FI vocabulary so other fan-out stages (feature extraction,
+training sweeps) can reuse it.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ from repro.circuits import (
     random_netlist,
 )
 from repro.core import AnalyzerConfig, FaultCriticalityAnalyzer
+from repro.fi import run_campaign
 from repro.netlist import Netlist
+from repro.sim import Workload, design_workloads
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +35,28 @@ def or1200_if():
 @pytest.fixture(scope="session")
 def icfsm():
     return build_or1200_icfsm()
+
+
+@pytest.fixture(scope="session")
+def icfsm_mixed_suite(icfsm):
+    """Four or1200_icfsm workloads of 60, 40, 60 and 40 cycles.
+
+    A campaign packs same-length workloads into one unit, so this suite
+    runs as two units even serially: rows 0 and 2, then rows 1 and 3.
+    """
+    suite = design_workloads(icfsm.name, icfsm, count=4, cycles=60,
+                             seed=0)
+    return [
+        Workload(workload.name, workload.input_names,
+                 workload.vectors[:40] if row % 2 else workload.vectors)
+        for row, workload in enumerate(suite)
+    ]
+
+
+@pytest.fixture(scope="session")
+def icfsm_mixed_baseline(icfsm, icfsm_mixed_suite):
+    """Serial, unsharded campaign over :func:`icfsm_mixed_suite`."""
+    return run_campaign(icfsm, icfsm_mixed_suite)
 
 
 @pytest.fixture(scope="session")

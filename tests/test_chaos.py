@@ -25,7 +25,7 @@ from repro.graph import GraphData, stratified_split
 from repro.models import GCNClassifier
 from repro.nn import TrainingConfig
 from repro.sim import design_workloads
-from repro.utils.parallel import fork_context
+from repro.utils.parallel import fork_context, shard_bounds
 
 pytestmark = pytest.mark.skipif(
     fork_context() is None,
@@ -58,21 +58,25 @@ class TestCampaignChaos:
         self, icfsm, suite, baseline, tmp_path, monkeypatch,
     ):
         """SIGKILL the host worker on the first execution of two
-        different units: the pool requeues each onto a fresh worker
-        and the campaign result stays bitwise identical to serial."""
+        different units (rows 0-1 and rows 2-3 at two jobs): the pool
+        requeues each onto a fresh worker and the campaign result
+        stays bitwise identical to serial."""
         original = CampaignRunner._run_unit
 
-        def chaotic(self, row, shard):
-            flag = tmp_path / f"killed_{row}_{shard}"
-            if row in (0, 2) and not flag.exists():
+        def chaotic(self, rows, shard):
+            flag = tmp_path / f"killed_{rows[0]}_{shard}"
+            if {0, 2} & set(rows) and not flag.exists():
                 flag.touch()
                 os.kill(os.getpid(), signal.SIGKILL)
-            return original(self, row, shard)
+            return original(self, rows, shard)
 
         # The pool forks after the patch, so workers inherit it.
         monkeypatch.setattr(CampaignRunner, "_run_unit", chaotic)
         survived = run_campaign(icfsm, suite, jobs=2,
                                 heartbeat_interval=0.1)
+        # Both kills actually happened.
+        assert sorted(path.name for path in tmp_path.glob("killed_*")
+                      ) == ["killed_0_0", "killed_2_0"]
         assert survived.complete
         assert_campaigns_identical(baseline, survived)
 
@@ -83,19 +87,20 @@ class TestCampaignChaos:
         killed units re-run, checkpoints land once, results match."""
         original = CampaignRunner._run_unit
         checkpoints = tmp_path / "ckpt"
+        flag = tmp_path / "killed"
 
-        def chaotic(self, row, shard):
-            flag = tmp_path / f"killed_{row}_{shard}"
-            if (row, shard) == (1, 0) and not flag.exists():
+        def chaotic(self, rows, shard):
+            if 1 in rows and shard == 0 and not flag.exists():
                 flag.touch()
                 os.kill(os.getpid(), signal.SIGKILL)
-            return original(self, row, shard)
+            return original(self, rows, shard)
 
         monkeypatch.setattr(CampaignRunner, "_run_unit", chaotic)
         survived = run_campaign(
             icfsm, suite, jobs=2, shard_size=None,
             checkpoint_dir=checkpoints, heartbeat_interval=0.1,
         )
+        assert flag.exists()  # the kill actually happened
         assert survived.complete
         assert_campaigns_identical(baseline, survived)
         # Every unit checkpoint landed exactly once, despite the kill.
@@ -104,33 +109,38 @@ class TestCampaignChaos:
         assert_campaigns_identical(baseline, resumed)
 
     def test_poison_unit_quarantined_into_ledger(
-        self, icfsm, suite, baseline, monkeypatch,
+        self, icfsm, icfsm_mixed_suite, icfsm_mixed_baseline,
+        monkeypatch,
     ):
-        """A unit that SIGKILLs every host it is given lands in the
-        failure ledger as ``worker_crash`` naming the signal; the
-        other workloads complete with bitwise-correct rows."""
+        """A unit that SIGKILLs every host it is given puts each of its
+        workloads in the failure ledger as ``worker_crash`` naming the
+        signal; the other unit's workloads complete with
+        bitwise-correct rows."""
+        suite, baseline = icfsm_mixed_suite, icfsm_mixed_baseline
         original = CampaignRunner._run_unit
 
-        def poison(self, row, shard):
-            if row == 1:
+        def poison(self, rows, shard):
+            if 1 in rows:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return original(self, row, shard)
+            return original(self, rows, shard)
 
         monkeypatch.setattr(CampaignRunner, "_run_unit", poison)
         result = run_campaign(icfsm, suite, jobs=2,
                               heartbeat_interval=0.1)
         assert not result.complete
-        assert len(result.failures) == 1
-        failure = result.failures[0]
-        assert failure.workload == suite[1].name
-        assert failure.status == "worker_crash"
-        assert "SIGKILL" in failure.error
-        assert failure.attempts >= 2  # poison_threshold hosts died
-        assert list(result.completed_mask) == [True, False, True, True]
-        # The poisoned row degrades to the documented no-error state...
-        assert not result.error_cycles[1].any()
+        # The poisoned unit packs both 40-cycle rows.
+        assert [f.workload for f in result.failures] == [
+            suite[1].name, suite[3].name,
+        ]
+        for failure in result.failures:
+            assert failure.status == "worker_crash"
+            assert "SIGKILL" in failure.error
+            assert failure.attempts >= 2  # poison_threshold hosts died
+        assert list(result.completed_mask) == [True, False, True, False]
+        # The poisoned rows degrade to the documented no-error state...
+        assert not result.error_cycles[[1, 3]].any()
         # ...and every healthy row is untouched by the chaos.
-        healthy = [0, 2, 3]
+        healthy = [0, 2]
         assert np.array_equal(baseline.error_cycles[healthy],
                               result.error_cycles[healthy])
         assert np.array_equal(baseline.latent[healthy],
@@ -233,13 +243,18 @@ class TestSignalShutdown:
                              seed=0),
         )
 
+    #: 64-fault shards: 9 shards x 2 packed units each, so the signal
+    #: lands while units are still pending.
+    SHARD_SIZE = 64
+
     def _spawn_campaign(self, checkpoint_dir, extra=()):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         return subprocess.Popen(
             [sys.executable, "-m", "repro", "campaign",
              "or1200_icfsm", "--workloads", "8", "--cycles", "400",
-             "--seed", "0", "--jobs", "2", "--shard-size", "auto",
+             "--seed", "0", "--jobs", "2",
+             "--shard-size", str(self.SHARD_SIZE),
              "--checkpoint-dir", str(checkpoint_dir), *extra],
             cwd=str(REPO_ROOT), env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -279,7 +294,13 @@ class TestSignalShutdown:
         assert "resume" in stderr
         completed = sorted(checkpoint_dir.glob("workload_*.npz"))
         assert completed  # durable progress survived the interrupt
-        assert len(completed) < 8  # ...but the run really was partial
+        # ...but the run really was partial...
+        n_units = 8 * len(shard_bounds(len(reference.faults),
+                                       self.SHARD_SIZE))
+        assert len(completed) < n_units
+        for path in completed:  # ...and left only whole unit files.
+            with np.load(path) as archive:
+                assert archive["error_cycles"].size
 
         out = tmp_path / "resumed.npz"
         resumed = self._spawn_campaign(

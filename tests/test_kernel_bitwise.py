@@ -8,7 +8,9 @@ with those three passes (see that package's docstring).  On randomized
 designs, 1-4 workloads with uniform or mixed cycle counts, stuck-at
 and SEU faults, with and without a strobed observation spec, and fault
 counts that cross 64-lane word boundaries, every per-fault array and
-every trace array must equal the reference bit for bit.
+every trace array must equal the reference bit for bit.  Golden
+statistics, packed one lane per workload, must equal the reference's
+one-workload-at-a-time counts.
 """
 
 import numpy as np
@@ -155,6 +157,49 @@ def test_upsets_match_reference(data):
             )
             for actual, wanted in zip(packed.row(span), expected):
                 assert_bitwise(actual, wanted)
+
+
+def assert_golden_stats_equal(actual, expected):
+    assert actual.net_names == expected.net_names
+    assert_bitwise(actual.ones_count, expected.ones_count)
+    assert_bitwise(actual.transition_count, expected.transition_count)
+    assert actual.cycles == expected.cycles
+    assert actual.workloads == expected.workloads
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_golden_stats_match_reference(data):
+    """One lane per workload, one pass per cycle-count group, against
+    the frozen one-workload-at-a-time golden run."""
+    netlist, workloads, _ = build_case(data)
+    assert_golden_stats_equal(
+        BitParallelSimulator(netlist).golden_stats(workloads),
+        RefSimulator(netlist).golden_stats(workloads),
+    )
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_golden_stats_across_word_boundary(data):
+    """65-130 same-length workloads fill more than one 64-lane word;
+    a few of another length make a second, one-word group."""
+    netlist = random_netlist(
+        n_inputs=4, n_gates=30, n_flops=4, n_outputs=3,
+        seed=data.draw(st.integers(0, 2**31 - 1), "design_seed"),
+    )
+    n_long = data.draw(st.integers(65, 130), "n_long")
+    n_short = data.draw(st.integers(1, 3), "n_short")
+    workloads = [
+        random_workload(netlist, cycles=9 if index < n_long else 5,
+                        seed=index, reset_input="in_0",
+                        name=f"w{index}")
+        for index in range(n_long + n_short)
+    ]
+    assert_golden_stats_equal(
+        BitParallelSimulator(netlist).golden_stats(workloads),
+        RefSimulator(netlist).golden_stats(workloads),
+    )
 
 
 def test_strobed_design_suite_matches_reference(icfsm):

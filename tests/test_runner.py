@@ -8,14 +8,17 @@ import pytest
 
 from repro.fi import run_campaign
 from repro.fi.checkpoint import MANIFEST_NAME
+from repro.fi.faults import full_fault_universe
+from repro.fi.observation import observation_for
 from repro.fi.runner import CampaignRunner, PassTimeout, RunnerPolicy
 from repro.sim import Workload, design_workloads
-from repro.sim.bitparallel import BitParallelSimulator
+from repro.sim.bitparallel import BitParallelSimulator, StuckAt
 from repro.utils.errors import (
     CampaignError,
     SerializationError,
     SimulationError,
 )
+from repro.utils.parallel import auto_shard_size
 from repro.utils.retry import BackoffPolicy, retry_call
 
 NO_WAIT = BackoffPolicy(base=0.0, jitter=0.0)
@@ -186,16 +189,18 @@ class TestRetryCall:
             )
 
     def test_campaign_honours_retry_deadline(
-        self, icfsm, suite, monkeypatch,
+        self, icfsm, icfsm_mixed_suite, monkeypatch,
     ):
         """With a deadline that only covers one backoff sleep, a
-        permanently broken workload stops retrying early and lands in
-        the ledger with fewer attempts than the retry budget allows."""
+        permanently broken unit stops retrying early and each of its
+        workloads lands in the ledger with fewer attempts than the
+        retry budget allows."""
+        suite = icfsm_mixed_suite
         original = BitParallelSimulator.run_pass
         broken = suite[1].name
 
         def flaky(self, workloads, *args, **kwargs):
-            if workloads[0].name == broken:
+            if any(w.name == broken for w in workloads):
                 raise RuntimeError("injected permanent fault")
             return original(self, workloads, *args, **kwargs)
 
@@ -204,13 +209,16 @@ class TestRetryCall:
         policy = BackoffPolicy(base=30.0, multiplier=1.0, jitter=0.0,
                                max_elapsed=1.0)
         result = run_campaign(icfsm, suite, retries=5, backoff=policy)
-        assert len(result.failures) == 1
-        failure = result.failures[0]
-        assert failure.workload == broken
-        assert failure.status == "error"
-        # 6 attempts allowed, but the first 30s sleep would overrun
-        # the 1s budget — exactly one attempt happened.
-        assert failure.attempts == 1
+        # The broken workload's unit packs both 40-cycle rows.
+        assert [f.workload for f in result.failures] == [
+            suite[1].name, suite[3].name,
+        ]
+        for failure in result.failures:
+            assert failure.status == "error"
+            # 6 attempts allowed, but the first 30s sleep would overrun
+            # the 1s budget — exactly one attempt happened.
+            assert failure.attempts == 1
+        assert list(result.completed_mask) == [True, False, True, False]
 
 
 class TestPreflight:
@@ -247,16 +255,19 @@ class TestCheckpointResume:
         assert sum(name.startswith("workload_") for name in files) == 4
 
     def test_killed_campaign_resumes_identically(
-        self, icfsm, suite, baseline, tmp_path, monkeypatch,
+        self, icfsm, icfsm_mixed_suite, icfsm_mixed_baseline, tmp_path,
+        monkeypatch,
     ):
-        """Simulated SIGKILL after 2 completed workloads: the interrupt
-        propagates (kills stay kills), checkpoints survive, and the
-        resumed campaign is identical to an uninterrupted one."""
+        """Simulated SIGKILL after the first unit (two packed
+        workloads) completed: the interrupt propagates (kills stay
+        kills), checkpoints survive, and the resumed campaign is
+        identical to an uninterrupted one."""
+        suite, baseline = icfsm_mixed_suite, icfsm_mixed_baseline
         original = BitParallelSimulator.run_pass
         passes = {"n": 0}
 
         def dying(self, workloads, *args, **kwargs):
-            if passes["n"] == 2:
+            if passes["n"] == 1:
                 raise KeyboardInterrupt
             passes["n"] += 1
             return original(self, workloads, *args, **kwargs)
@@ -363,13 +374,18 @@ class TestCheckpointResume:
 
 class TestGracefulDegradation:
     def test_retry_exhaustion_yields_failure_ledger(
-        self, icfsm, suite, baseline, monkeypatch,
+        self, icfsm, icfsm_mixed_suite, icfsm_mixed_baseline,
+        monkeypatch,
     ):
+        """A unit that exhausts its retries puts every workload it
+        packed into the ledger, each with the unit's status, attempts
+        and error; the other unit's rows are the real results."""
+        suite, baseline = icfsm_mixed_suite, icfsm_mixed_baseline
         original = BitParallelSimulator.run_pass
         broken = suite[1].name
 
         def flaky(self, workloads, *args, **kwargs):
-            if workloads[0].name == broken:
+            if any(w.name == broken for w in workloads):
                 raise RuntimeError("injected harness fault")
             return original(self, workloads, *args, **kwargs)
 
@@ -378,20 +394,27 @@ class TestGracefulDegradation:
         result = run_campaign(icfsm, suite, retries=2,
                               backoff=NO_WAIT)
         assert not result.complete
-        assert [f.workload for f in result.failures] == [broken]
-        failure = result.failures[0]
-        assert failure.status == "error"
-        assert failure.attempts == 3  # 1 try + 2 retries
-        assert "injected harness fault" in failure.error
-        assert list(result.completed_mask) == [True, False, True, True]
-        # failed row stays at the no-error initial state...
-        assert result.error_cycles[1].sum() == 0
-        assert (result.detection_cycle[1] == -1).all()
-        assert not result.latent[1].any()
+        assert [f.workload for f in result.failures] == [
+            suite[1].name, suite[3].name,
+        ]
+        for failure in result.failures:
+            assert failure.status == "error"
+            assert failure.attempts == 3  # 1 try + 2 retries
+            assert "injected harness fault" in failure.error
+        assert list(result.completed_mask) == [True, False, True, False]
+        # failed rows stay at the no-error initial state...
+        for row in (1, 3):
+            assert result.error_cycles[row].sum() == 0
+            assert (result.detection_cycle[row] == -1).all()
+            assert not result.latent[row].any()
         # ...and the other rows are the real results.
-        for row in (0, 2, 3):
+        for row in (0, 2):
             assert np.array_equal(result.error_cycles[row],
                                   baseline.error_cycles[row])
+            assert np.array_equal(result.detection_cycle[row],
+                                  baseline.detection_cycle[row])
+            assert np.array_equal(result.latent[row],
+                                  baseline.latent[row])
 
     def test_transient_failure_recovered_by_retry(
         self, icfsm, suite, baseline, monkeypatch,
@@ -411,14 +434,17 @@ class TestGracefulDegradation:
         assert result.complete
         assert_campaigns_identical(baseline, result)
 
-    def test_hung_pass_times_out(self, icfsm, suite, monkeypatch):
+    def test_hung_pass_times_out(self, icfsm, icfsm_mixed_suite,
+                                 monkeypatch):
         import time as time_module
 
+        # A 60-cycle and a 40-cycle workload: one unit each.
+        suite = icfsm_mixed_suite
         original = BitParallelSimulator.run_pass
         hung = suite[0].name
 
         def hang(self, workloads, *args, **kwargs):
-            if workloads[0].name == hung:
+            if any(w.name == hung for w in workloads):
                 time_module.sleep(5.0)
             return original(self, workloads, *args, **kwargs)
 
@@ -437,7 +463,7 @@ class TestGracefulDegradation:
         original = BitParallelSimulator.run_pass
 
         def flaky(self, workloads, *args, **kwargs):
-            if workloads[0].name == suite[0].name:
+            if any(w.name == suite[0].name for w in workloads):
                 raise RuntimeError("dead workload")
             return original(self, workloads, *args, **kwargs)
 
@@ -453,15 +479,17 @@ class TestGracefulDegradation:
         )
 
     def test_timeout_failures_checkpoint_resume(
-        self, icfsm, suite, baseline, monkeypatch, tmp_path,
+        self, icfsm, icfsm_mixed_suite, icfsm_mixed_baseline,
+        monkeypatch, tmp_path,
     ):
-        """A failed workload is NOT checkpointed: a later resume
-        re-simulates it and recovers the full campaign."""
+        """A failed unit's workloads are NOT checkpointed: a later
+        resume re-simulates them and recovers the full campaign."""
+        suite, baseline = icfsm_mixed_suite, icfsm_mixed_baseline
         original = BitParallelSimulator.run_pass
         broken = suite[2].name
 
         def flaky(self, workloads, *args, **kwargs):
-            if workloads[0].name == broken:
+            if any(w.name == broken for w in workloads):
                 raise RuntimeError("flaky box")
             return original(self, workloads, *args, **kwargs)
 
@@ -469,7 +497,11 @@ class TestGracefulDegradation:
                             flaky)
         partial = run_campaign(icfsm, suite, checkpoint_dir=tmp_path,
                                backoff=NO_WAIT)
-        assert [f.workload for f in partial.failures] == [broken]
+        assert [f.workload for f in partial.failures] == [
+            suite[0].name, suite[2].name,
+        ]
+        assert sorted(path.name for path in tmp_path.glob("workload_*")
+                      ) == ["workload_0001.npz", "workload_0003.npz"]
 
         monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             original)
@@ -477,6 +509,135 @@ class TestGracefulDegradation:
                                  resume=True)
         assert recovered.complete
         assert_campaigns_identical(baseline, recovered)
+
+
+def per_workload_rows(netlist, workloads):
+    """The per-workload reference: one ``run_pass([w])`` per row over
+    the full stuck-at universe, stacked ``(error, detection, latent)``.
+    """
+    faults = full_fault_universe(netlist)
+    injection = StuckAt(
+        np.array([fault.net_index for fault in faults], dtype=np.intp),
+        np.array([fault.stuck_at for fault in faults], dtype=np.uint8),
+    )
+    engine = BitParallelSimulator(netlist)
+    compiled = observation_for(netlist).compile(netlist)
+    rows = [engine.run_pass([w], injection, observation=compiled).row(0)
+            for w in workloads]
+    return tuple(np.stack(part) for part in zip(*rows))
+
+
+class TestLanePacking:
+    """Same-length workloads share one pass per (group x shard) unit;
+    every row must equal its own per-workload pass bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, icfsm, icfsm_mixed_suite):
+        return per_workload_rows(icfsm, icfsm_mixed_suite)
+
+    @pytest.mark.parametrize("shard_size", [0, 63, 64, 65])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_packed_rows_match_per_workload_passes(
+        self, icfsm, icfsm_mixed_suite, reference, shard_size, jobs,
+    ):
+        for collapse in (False, True):
+            result = run_campaign(icfsm, icfsm_mixed_suite,
+                                  collapse=collapse,
+                                  shard_size=shard_size, jobs=jobs)
+            assert result.complete
+            for actual, expected in zip(
+                (result.error_cycles, result.detection_cycle,
+                 result.latent),
+                reference,
+            ):
+                assert actual.dtype == expected.dtype
+                assert np.array_equal(actual, expected)
+
+    def test_resume_regroups_rows_a_per_workload_run_left(
+        self, icfsm, suite, baseline, tmp_path, monkeypatch,
+    ):
+        """Rows 0 and 2 checkpointed one per file, as a per-workload
+        runner writes them: the resume is bitwise identical and packs
+        the still-pending rows 1 and 3 into one unit."""
+        reference = per_workload_rows(icfsm, [suite[0], suite[2]])
+        store = CampaignRunner(
+            icfsm, suite, policy=RunnerPolicy(checkpoint_dir=tmp_path),
+        )._open_store()
+        store.open(resume=False)
+        for position, row in enumerate((0, 2)):
+            store.record(
+                row, 0,
+                error_cycles=reference[0][position],
+                detection_cycle=reference[1][position],
+                latent=reference[2][position],
+                elapsed_seconds=0.5,
+            )
+
+        original = BitParallelSimulator.run_pass
+        passes = []
+
+        def spy(self, workloads, *args, **kwargs):
+            passes.append([w.name for w in workloads])
+            return original(self, workloads, *args, **kwargs)
+
+        monkeypatch.setattr(BitParallelSimulator, "run_pass", spy)
+        resumed = run_campaign(icfsm, suite, checkpoint_dir=tmp_path,
+                               resume=True)
+        assert passes == [[suite[1].name, suite[3].name]]
+        assert_campaigns_identical(baseline, resumed)
+        assert resumed.complete
+
+    def test_grouping_rule(self, icfsm, or1200_if, icfsm_mixed_suite):
+        """Units per shard: same cycle count, at most ceil(rows / jobs)
+        rows, and at most the rows whose packed value matrix fits the
+        shard budget — but never fewer than one."""
+        from repro.circuits import build_fsm_grid
+
+        def plan(netlist, workloads, jobs, **policy):
+            runner = CampaignRunner(netlist, workloads,
+                                    policy=RunnerPolicy(**policy))
+            rows = list(range(len(workloads)))
+            return runner._plan_units(
+                {shard: rows for shard in range(runner.n_shards)}, jobs,
+            )
+
+        def stub(netlist, count, cycles=4):
+            return [
+                Workload(f"w{index}", netlist.input_names(),
+                         np.zeros((cycles, netlist.n_inputs), np.uint8))
+                for index in range(count)
+            ]
+
+        eight = stub(or1200_if, 8)
+        assert plan(or1200_if, eight, 1) == [(tuple(range(8)), 0)]
+        assert plan(or1200_if, eight, 2) == [
+            ((0, 1, 2, 3), 0), ((4, 5, 6, 7), 0),
+        ]
+        assert plan(or1200_if, eight, 3) == [
+            ((0, 1, 2), 0), ((3, 4, 5), 0), ((6, 7), 0),
+        ]
+        # Cycle counts never mix; groups are dealt out row-major.
+        assert plan(icfsm, icfsm_mixed_suite, 1) == [
+            ((0, 2), 0), ((1, 3), 0),
+        ]
+        assert plan(icfsm, icfsm_mixed_suite, 2, shard_size=300) == [
+            ((0, 2), 0), ((0, 2), 1), ((1, 3), 0), ((1, 3), 1),
+        ]
+        # Budget: a lane-budget's worth of full-universe spans.
+        n_faults = 2 * or1200_if.n_gates
+        per_unit = (auto_shard_size(or1200_if.n_nets) + 1) // (
+            n_faults + 1
+        )
+        sizes = [len(rows) for rows, _ in
+                 plan(or1200_if, stub(or1200_if, per_unit + 5), 1)]
+        assert sizes == [per_unit, 5]
+        # Both grid-cold workloads share a unit; the 8 x 8 grid (7,725
+        # nets) exceeds the budget with one workload, so it runs alone.
+        small = build_fsm_grid(3, 4)
+        assert plan(small, stub(small, 2), 1) == [((0, 1), 0)]
+        large = build_fsm_grid(8, 8)
+        assert large.n_nets == 7725
+        assert plan(large, stub(large, 2), 1) == [((0,), 0), ((1,), 0)]
 
 
 class TestRunnerDirect:

@@ -228,8 +228,12 @@ class TestShardedCheckpointing:
 
 
 class TestParallelFailures:
-    def test_failed_unit_names_its_shard(self, icfsm, suite,
+    def test_failed_unit_names_its_shard(self, icfsm,
+                                         icfsm_mixed_suite,
                                          monkeypatch):
+        """The first unit (rows 0 and 2, shard 0) fails once: both of
+        its workloads land in the ledger naming that shard."""
+        suite = icfsm_mixed_suite
         real = BitParallelSimulator.run_pass
         boom = {"count": 0}
 
@@ -242,19 +246,24 @@ class TestParallelFailures:
         monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             flaky_pass)
         result = run_campaign(icfsm, suite, shard_size=300)
-        assert len(result.failures) == 1
-        failure = result.failures[0]
-        assert failure.status == "error"
-        assert failure.error.startswith("shard ")
-        assert "injected harness fault" in failure.error
+        assert [f.workload for f in result.failures] == [
+            suite[0].name, suite[2].name,
+        ]
+        for failure in result.failures:
+            assert failure.status == "error"
+            assert failure.error.startswith("shard 0 (faults 0:300): ")
+            assert "injected harness fault" in failure.error
 
-    def test_parallel_failure_lands_in_ledger(self, icfsm, suite,
-                                              baseline, monkeypatch):
+    def test_parallel_failure_lands_in_ledger(self, icfsm,
+                                              icfsm_mixed_suite,
+                                              icfsm_mixed_baseline,
+                                              monkeypatch):
+        suite, baseline = icfsm_mixed_suite, icfsm_mixed_baseline
         real = BitParallelSimulator.run_pass
         victim = suite[0].name
 
         def doomed_pass(self, workloads, *args, **kwargs):
-            if workloads[0].name == victim:
+            if any(w.name == victim for w in workloads):
                 raise RuntimeError("worker-side crash")
             return real(self, workloads, *args, **kwargs)
 
@@ -262,8 +271,13 @@ class TestParallelFailures:
         monkeypatch.setattr(BitParallelSimulator, "run_pass",
                             doomed_pass)
         result = run_campaign(icfsm, suite, jobs=2)
-        assert [f.workload for f in result.failures] == [victim]
-        assert "worker-side crash" in result.failures[0].error
+        # The victim's unit packs both 60-cycle rows.
+        assert [f.workload for f in result.failures] == [
+            suite[0].name, suite[2].name,
+        ]
+        for failure in result.failures:
+            assert "worker-side crash" in failure.error
+        assert list(result.completed_mask) == [False, True, False, True]
         # the surviving workloads still match the baseline bit for bit
         mask = result.completed_mask
         assert np.array_equal(result.error_cycles[mask],

@@ -438,6 +438,14 @@ class TestMemoizedAnalysis:
         assert result is partial
         assert store.stats()["by_kind"].get("campaign") is None
 
+    # The near-miss path reads the cached base netlist back from the
+    # store.  A file it leaves open raises ResourceWarning when it is
+    # collected; that error is unraisable, and the second filter turns
+    # pytest's report of it into a failure.
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    )
     def test_near_miss_recovers_via_eco_bitwise(self, sdram, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         workloads = design_workloads("sdram", sdram, count=2,
