@@ -47,7 +47,12 @@ class BaseClassifier:
         y = np.asarray(y)
         if x.ndim != 2 or len(x) != len(y):
             raise ModelError("x must be (N, F) aligned with y")
-        if len(np.unique(y)) < 2:
+        labels = np.unique(y)
+        if not np.isin(labels, (0, 1)).all():
+            raise ModelError(
+                f"labels must be 0 and 1; found {labels.tolist()}"
+            )
+        if len(labels) < 2:
             raise ModelError("training data has a single class")
 
 

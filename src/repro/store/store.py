@@ -11,19 +11,22 @@ file, fsync it, hash it, and atomically rename it into place
 (:func:`repro.io.durable_replace`), so a reader never observes a
 partial artifact.  The rename and the index update that records the
 object's sha256 happen together under an exclusive ``flock`` on
-``<directory>/index.lock``, and the update is merged into the index
-on disk rather than overwriting it with this process's snapshot; so
-two concurrent writers of the same key — which by content addressing
-are writing identical bytes' worth of meaning — leave exactly one
-valid object, recorded with its own hash, whichever rename lands last.
+``<directory>/index.lock``.  Every index write — a publish, a read's
+LRU tick or eviction, ``gc``, ``clear``, a new byte budget — is merged
+into the index on disk under that lock rather than overwriting it with
+this process's snapshot; so two concurrent writers of the same key —
+which by content addressing are writing identical bytes' worth of
+meaning — leave exactly one valid object, recorded with its own hash,
+whichever rename lands last, and a reader never drops the entry (and
+its ``meta``) that another process just published.
 
 The index is *advisory*: it carries per-entry size/sha256/LRU-tick
 plus searchable ``meta`` (what the ECO near-miss probe matches on),
-and it is rewritten atomically on every mutation.  A lost update from
-a concurrent reader, a crash between object rename and index write,
-or a deleted/corrupt index never loses artifacts — the index is
-reconciled against a directory scan on load and on every publish,
-adopting orphaned objects and dropping ghost entries.  Validation
+and it is rewritten atomically on every mutation.  A crash between
+object rename and index write, or a deleted/corrupt index, never
+loses artifacts — the index is reconciled against a directory scan on
+load and on every index write, adopting orphaned objects and dropping
+ghost entries.  Validation
 failures on read (truncated zip, bad JSON, sha256 mismatch, wrong
 shapes) are demoted to a logged miss: the entry is deleted and the
 caller recomputes and rewrites it.
@@ -106,8 +109,8 @@ class ArtifactStore:
         self._index = self._fresh_index()
         self._merge_disk_index()
         if byte_budget is not None:
-            self._index["byte_budget"] = int(byte_budget)
-            self._write_index()
+            with self._locked_index():
+                self._index["byte_budget"] = int(byte_budget)
 
     # -- paths ---------------------------------------------------------
     @property
@@ -135,9 +138,8 @@ class ArtifactStore:
         path = self.object_path(key, kind)
         entry = self._index["entries"].get(key)
         if not path.exists():
-            if entry is not None:  # ghost entry: object lost
-                self._drop_entry(key)
-            self._count("misses")
+            with self._locked_index():  # drops a ghost entry, if any
+                self._count("misses")
             return None
         try:
             if entry is not None:
@@ -156,17 +158,17 @@ class ArtifactStore:
                 "treating as miss and discarding",
                 key[:12], kind, type(error).__name__, error,
             )
-            self._evict(key, path)
-            self._count("misses")
+            with self._locked_index():
+                self._evict(key, path)
+                self._count("misses")
             return None
-        if entry is None:
-            # Another process published this object after our index
-            # snapshot; adopt it so it participates in LRU accounting.
-            self._adopt(key, kind, path)
-        else:
-            entry["tick"] = self._next_tick()
-        self._count("hits")
-        self._write_index()
+        with self._locked_index():
+            # The merge adopted the object if another process published
+            # it after our snapshot; it may also have been evicted since.
+            current = self._index["entries"].get(key)
+            if current is not None:
+                current["tick"] = self._next_tick()
+            self._count("hits")
         return value
 
     def put(self, key: str, kind: str,
@@ -195,8 +197,7 @@ class ArtifactStore:
             # rename and outside the lock.
             size = temporary.stat().st_size
             sha256 = _sha256_file(temporary)
-            with self._index_lock():
-                self._merge_disk_index()
+            with self._locked_index():
                 durable_replace(temporary, path)
                 self._index["entries"][key] = {
                     "kind": kind,
@@ -206,7 +207,6 @@ class ArtifactStore:
                     "meta": dict(meta or {}),
                 }
                 self._gc_locked()
-                self._write_index()
         finally:
             if temporary.exists():
                 temporary.unlink()
@@ -235,20 +235,18 @@ class ArtifactStore:
         Returns ``(entries_evicted, bytes_freed)``.  With an explicit
         ``byte_budget`` the store's persistent budget is updated first.
         """
-        if byte_budget is not None:
-            self._index["byte_budget"] = int(byte_budget)
-        evicted, freed = self._gc_locked()
-        self._write_index()
-        return evicted, freed
+        with self._locked_index():
+            if byte_budget is not None:
+                self._index["byte_budget"] = int(byte_budget)
+            return self._gc_locked()
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
-        count = 0
-        for key, entry in list(self._index["entries"].items()):
-            self._evict(key, self.object_path(key, entry["kind"]))
-            count += 1
-        self._write_index()
-        return count
+        with self._locked_index():
+            entries = list(self._index["entries"].items())
+            for key, entry in entries:
+                self._evict(key, self.object_path(key, entry["kind"]))
+        return len(entries)
 
     def stats(self) -> Dict[str, object]:
         entries = self._index["entries"]
@@ -283,11 +281,8 @@ class ArtifactStore:
     def _count(self, counter: str) -> None:
         self._index[counter] = int(self._index[counter]) + 1
 
-    def _drop_entry(self, key: str) -> None:
-        self._index["entries"].pop(key, None)
-
     def _evict(self, key: str, path: Path) -> None:
-        self._drop_entry(key)
+        self._index["entries"].pop(key, None)
         try:
             path.unlink()
         except FileNotFoundError:
@@ -328,20 +323,27 @@ class ArtifactStore:
         )
 
     @contextlib.contextmanager
-    def _index_lock(self):
-        """Exclusive across processes: publishing an object and
-        recording it in the index happen as one step."""
+    def _locked_index(self):
+        """Every index write goes through here.  Under an exclusive
+        ``flock`` across processes, the body mutates this process's
+        index after it is rebased on the one on disk, and the result is
+        written before the lock is released; so an entry another
+        process recorded is never dropped or overwritten by a stale
+        snapshot, and publishing an object together with its entry is
+        one step."""
         descriptor = os.open(str(self.directory / LOCK_NAME),
                              os.O_RDWR | os.O_CREAT, 0o644)
         try:
             fcntl.flock(descriptor, fcntl.LOCK_EX)
+            self._merge_disk_index()
             yield
+            self._write_index()
         finally:
             os.close(descriptor)  # closing releases the lock
 
     def _merge_disk_index(self) -> None:
         """Rebase this process's index on the one on disk and reconcile
-        it with the object tree.  Under :meth:`_index_lock` an entry
+        it with the object tree.  Under :meth:`_locked_index` an entry
         another process wrote since this snapshot is then neither lost
         nor overwritten by a stale one.  Counters and the LRU clock
         only move forward."""

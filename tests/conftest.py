@@ -14,6 +14,7 @@ from repro.circuits import (
     build_or1200_icfsm,
     build_or1200_if,
     build_sdram_controller,
+    build_uart,
     random_netlist,
 )
 from repro.core import AnalyzerConfig, FaultCriticalityAnalyzer
@@ -57,6 +58,11 @@ def icfsm_mixed_suite(icfsm):
 def icfsm_mixed_baseline(icfsm, icfsm_mixed_suite):
     """Serial, unsharded campaign over :func:`icfsm_mixed_suite`."""
     return run_campaign(icfsm, icfsm_mixed_suite)
+
+
+@pytest.fixture(scope="session")
+def uart():
+    return build_uart()
 
 
 @pytest.fixture(scope="session")

@@ -167,6 +167,11 @@ class TestBaselines:
         with pytest.raises(ModelError):
             model.fit(np.zeros((4, 2)), np.zeros(4))
 
+    def test_labels_outside_zero_one_rejected(self, name):
+        model = make_classifier(name)
+        with pytest.raises(ModelError, match=r"found \[0, 2\]"):
+            model.fit(np.zeros((4, 2)), np.array([0, 2, 0, 2]))
+
 
 def test_registry_contents():
     registry = registered_classifiers()

@@ -340,6 +340,39 @@ class TestDurability:
         assert reopened.get(other, "netlist", read) == "// other key"
         assert reopened.stats()["entries"] == 2
 
+    def test_get_keeps_meta_another_store_wrote(self, tmp_path):
+        """A get from a store whose snapshot is stale must not write
+        that snapshot back over an entry another store published; the
+        entry's meta is what the ECO near-miss probe finds it by."""
+        def read(path):
+            return Path(path).read_text(encoding="utf-8")
+
+        first = ArtifactStore(tmp_path)
+        first.put("a" * 64, "netlist", _text_writer("// a"))
+        second = ArtifactStore(tmp_path)
+        first.put("b" * 64, "netlist", _text_writer("// b"),
+                  meta={"design": "y"})
+        assert second.get("a" * 64, "netlist", read) == "// a"
+        assert ArtifactStore(tmp_path).find("netlist", design="y") == [
+            ("b" * 64, {"design": "y"})
+        ]
+
+    def test_maintenance_keeps_entries_another_store_wrote(
+        self, tmp_path
+    ):
+        """gc and a new byte budget rebase on the index on disk too."""
+        first = ArtifactStore(tmp_path)
+        second = ArtifactStore(tmp_path)
+        first.put("b" * 64, "netlist", _text_writer("// b"),
+                  meta={"design": "y"})
+        second.gc()
+        ArtifactStore(tmp_path, byte_budget=1 << 20)
+        reopened = ArtifactStore(tmp_path)
+        assert reopened.find("netlist", design="y") == [
+            ("b" * 64, {"design": "y"})
+        ]
+        assert reopened.byte_budget == 1 << 20
+
 
 # ----------------------------------------------------------------------
 # memoized pipeline: warm == cold, bitwise

@@ -1,17 +1,10 @@
 """Behavioural and pipeline tests for the UART design."""
 
 import numpy as np
-import pytest
 
-from repro.circuits import build_uart
 from repro.circuits.uart import BAUD_DIVISOR, DATA_BITS, FRAME_CYCLES
 from repro.netlist import validate
 from repro.sim import Simulator, design_workloads, uart_workload
-
-
-@pytest.fixture(scope="module")
-def uart():
-    return build_uart()
 
 
 def loopback(sim, byte, corrupt_at=None, break_stop=False):
