@@ -42,8 +42,14 @@ from repro.models import (
 from repro.netlist import Netlist, read_verilog, write_verilog
 from repro.sim import Simulator, Workload, design_workloads
 from repro.store import ArtifactStore
+from repro.utils.parallel import budget_blas_threads
 
 __version__ = "1.0.0"
+
+# Every entry point (the CLI, scripts on the public API, fork workers
+# that inherit it) imports this package after numpy has mapped its
+# OpenBLAS, so this is the one place the budget takes effect.
+budget_blas_threads()
 
 __all__ = [
     "build_design",

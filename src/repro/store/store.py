@@ -29,7 +29,9 @@ load and on every index write, adopting orphaned objects and dropping
 ghost entries.  Validation
 failures on read (truncated zip, bad JSON, sha256 mismatch, wrong
 shapes) are demoted to a logged miss: the entry is deleted and the
-caller recomputes and rewrites it.
+caller recomputes and rewrites it.  The eviction is decided under the
+lock: if another process republished the key after this process's
+snapshot, the object is validated against that newer entry instead.
 """
 
 from __future__ import annotations
@@ -97,6 +99,12 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _same_object(entry: dict, other: Optional[dict]) -> bool:
+    """Whether two index entries record the same published bytes."""
+    return other is not None and (entry["size"], entry["sha256"]) == (
+        other["size"], other["sha256"])
+
+
 class ArtifactStore:
     """A directory of memoized pipeline-stage outputs, keyed by input
     closure and evicted LRU under a byte budget."""
@@ -142,23 +150,29 @@ class ArtifactStore:
                 self._count("misses")
             return None
         try:
-            if entry is not None:
-                size = path.stat().st_size
-                if size != entry["size"]:
-                    raise SerializationError(
-                        f"size changed on disk ({size} vs recorded "
-                        f"{entry['size']})"
-                    )
-                if _sha256_file(path) != entry["sha256"]:
-                    raise SerializationError("sha256 mismatch")
-            value = reader(path)
+            value = self._read_checked(path, entry, reader)
         except _READ_FAILURES as error:
-            logger.warning(
-                "store entry %s (%s) failed validation (%s: %s) — "
-                "treating as miss and discarding",
-                key[:12], kind, type(error).__name__, error,
-            )
             with self._locked_index():
+                # Validation ran against this process's snapshot.  If
+                # another process republished the key since, the merge
+                # holds its entry: check the object against that, under
+                # the lock, so a valid object is never evicted.
+                current = self._index["entries"].get(key)
+                if current is not None and not _same_object(current,
+                                                            entry):
+                    try:
+                        value = self._read_checked(path, current, reader)
+                    except _READ_FAILURES as retry_error:
+                        error = retry_error
+                    else:
+                        current["tick"] = self._next_tick()
+                        self._count("hits")
+                        return value
+                logger.warning(
+                    "store entry %s (%s) failed validation (%s: %s) — "
+                    "treating as miss and discarding",
+                    key[:12], kind, type(error).__name__, error,
+                )
                 self._evict(key, path)
                 self._count("misses")
             return None
@@ -287,6 +301,22 @@ class ArtifactStore:
             path.unlink()
         except FileNotFoundError:
             pass
+
+    @staticmethod
+    def _read_checked(path: Path, entry: Optional[dict],
+                      reader: Callable[[Path], object]) -> object:
+        """``reader(path)`` after checking the object against the size
+        and sha256 that ``entry`` recorded (if there is an entry)."""
+        if entry is not None:
+            size = path.stat().st_size
+            if size != entry["size"]:
+                raise SerializationError(
+                    f"size changed on disk ({size} vs recorded "
+                    f"{entry['size']})"
+                )
+            if _sha256_file(path) != entry["sha256"]:
+                raise SerializationError("sha256 mismatch")
+        return reader(path)
 
     def _adopt(self, key: str, kind: str, path: Path) -> None:
         self._index["entries"][key] = {

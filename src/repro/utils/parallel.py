@@ -1,4 +1,5 @@
-"""Multi-core campaign plumbing: job resolution and shard sizing.
+"""Multi-core campaign plumbing: job resolution, shard sizing and the
+BLAS thread budget.
 
 The sharded campaign engine splits a fault universe into contiguous
 shards and fans (workload group x shard) units out over worker
@@ -7,13 +8,22 @@ a host can sustain, and how large a shard can grow before its value
 matrix (``n_nets x n_words x 8`` bytes) falls out of cache — kept free
 of any FI vocabulary so other fan-out stages (feature extraction,
 training sweeps) can reuse it.
+
+Parallelism comes from ``--jobs`` processes, not from BLAS threads.
+The matrices here are 16–64 columns wide, so a second OpenBLAS thread
+buys little wall time for nearly twice the CPU, oversubscribes every
+fork worker, and makes the trained GCN's last bits depend on the
+host's core count.  :func:`budget_blas_threads` (run once when
+``repro`` is imported) therefore sizes every mapped OpenBLAS to one
+thread unless the user sized it through the environment.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.utils.errors import CampaignError
 
@@ -84,3 +94,96 @@ def fork_context() -> Optional[multiprocessing.context.BaseContext]:
         return multiprocessing.get_context("fork")
     except ValueError:
         return None
+
+
+#: Environment variables through which a user sizes OpenBLAS's thread
+#: pool; when any is set, :func:`budget_blas_threads` leaves BLAS alone.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                   "OMP_NUM_THREADS")
+
+#: Symbol spellings of OpenBLAS's thread-count entry points, most
+#: specific first: numpy 2 wheels bundle ``libscipy_openblas64_``
+#: (``scipy_openblas_set_num_threads64_``), scipy wheels
+#: ``libscipy_openblas`` (``scipy_openblas_set_num_threads``), and other
+#: builds export ``openblas_set_num_threads`` (``...64_`` for ILP64).
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads")
+
+
+def _is_openblas(path: str) -> bool:
+    """A BLAS library of an OpenBLAS build: the wheels' bundled
+    ``libscipy_openblas*``, or a distribution's ``libblas.so`` under an
+    ``openblas-*`` directory."""
+    return ("blas" in os.path.basename(path).lower()
+            and "openblas" in path.lower())
+
+
+def _mapped_openblas() -> Dict[str, ctypes.CDLL]:
+    """Every OpenBLAS shared library mapped into this process, by path.
+
+    Empty where ``/proc/self/maps`` does not exist (macOS, Windows) or
+    no OpenBLAS is mapped (MKL, Accelerate).  Libraries open with
+    ``RTLD_NOLOAD``, so this never loads one.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({
+                fields[5].strip() for fields in
+                (line.split(None, 5) for line in maps)
+                if len(fields) == 6 and _is_openblas(fields[5].strip())
+            })
+    except OSError:
+        return {}
+    libraries = {}
+    for path in paths:
+        try:
+            libraries[path] = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # unmapped since, or not a loadable library
+            continue
+    return libraries
+
+
+def _openblas_function(library: ctypes.CDLL, verb: str):
+    """``library``'s ``{verb}_num_threads`` entry point, or ``None``."""
+    for symbol in _OPENBLAS_SYMBOLS:
+        function = getattr(library, symbol.format(verb), None)
+        if function is not None:
+            return function
+    return None
+
+
+def blas_threads() -> Dict[str, Optional[int]]:
+    """Thread count that each mapped OpenBLAS reports, by library path.
+
+    ``None`` marks a library that exports no known getter, so a
+    renamed symbol shows up instead of reading as "no OpenBLAS".
+    """
+    counts: Dict[str, Optional[int]] = {}
+    for path, library in _mapped_openblas().items():
+        getter = _openblas_function(library, "get")
+        if getter is None:
+            counts[path] = None
+            continue
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        counts[path] = int(getter())
+    return counts
+
+
+def budget_blas_threads() -> None:
+    """One BLAS thread per process, unless the user sized BLAS.
+
+    Any of :data:`BLAS_THREAD_ENV` set to a value leaves every library
+    as the user configured it.  Fork workers inherit the budget, so
+    ``--jobs N`` runs N BLAS threads.
+    """
+    if any(os.environ.get(name) for name in BLAS_THREAD_ENV):
+        return
+    for library in _mapped_openblas().values():
+        setter = _openblas_function(library, "set")
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)

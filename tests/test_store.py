@@ -357,6 +357,24 @@ class TestDurability:
             ("b" * 64, {"design": "y"})
         ]
 
+    def test_get_keeps_object_another_store_republished(self, tmp_path):
+        """A get whose snapshot records the old bytes of a key another
+        store has since republished must check the new object against
+        the new entry, not evict it as corrupt."""
+        def read(path):
+            return Path(path).read_text(encoding="utf-8")
+
+        key = "b" * 64
+        first = ArtifactStore(tmp_path)
+        first.put(key, "netlist", _text_writer("// v1"))
+        second = ArtifactStore(tmp_path)
+        first.put(key, "netlist", _text_writer("// v2 republished"))
+        assert second.get(key, "netlist", read) == "// v2 republished"
+        assert first.object_path(key, "netlist").exists()
+        reopened = ArtifactStore(tmp_path)
+        assert reopened.get(key, "netlist", read) == "// v2 republished"
+        assert reopened.stats()["misses"] == 0
+
     def test_maintenance_keeps_entries_another_store_wrote(
         self, tmp_path
     ):
