@@ -516,8 +516,8 @@ def main(argv=None) -> int:
                           default=0, metavar="N|auto",
                           help="faults simulated per shard (0 = whole "
                                "universe per pass, auto = sized so "
-                               "each shard's value matrix fits in "
-                               "cache)")
+                               "each shard's net values fit a 4 MiB "
+                               "budget)")
     campaign.add_argument("--eco", metavar="EDITED.v",
                           help="incremental mode: diff the design "
                                "against this edited netlist, "

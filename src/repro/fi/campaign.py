@@ -263,8 +263,8 @@ def run_campaign(
             a unit.
         shard_size: Faults simulated per unit — ``0`` (default) keeps
             the whole universe in one pass per workload group,
-            ``None``/``"auto"`` sizes shards so each value matrix fits
-            in cache.  Results are bitwise identical for every setting.
+            ``None``/``"auto"`` sizes shards so each unit's net values
+            fit the shard budget.  Results are bitwise identical for every setting.
         max_worker_restarts: Dead pool workers respawned over the whole
             campaign before the pool is allowed to shrink (only
             meaningful with ``jobs > 1``).

@@ -1013,8 +1013,8 @@ def _trace_merge_dirty(
     latent = np.zeros((n_workloads, n_dirty), dtype=bool)
 
     # Workloads of one cycle count pack into a single bit-parallel pass
-    # (per-workload golden lanes), dividing the cone pass's per-cycle
-    # dispatch cost by the group size.  Empty row selections reduce to
+    # (per-workload golden lanes), so each gate statement of a cycle
+    # runs once per group, not once per workload.  Empty row selections reduce to
     # all-zero words, i.e. no contribution.
     for rows in cycle_groups(remapped):
         packed = engine.run_pass(

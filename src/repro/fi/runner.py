@@ -11,15 +11,15 @@ pair as an independent, supervised **unit** of work:
 
 * **Lane packing** — a unit simulates a *group* of pending workloads of
   one cycle count in a single bit-parallel pass (one lane span each),
-  so the per-cycle dispatch cost is paid once per group instead of once
-  per workload.  A group holds at most ``ceil(rows / jobs)`` workloads
-  (``rows`` pending in the shard), so ``jobs`` workers still have units
-  to share, and at most as many as keep the packed value matrix within
-  the shard budget (:func:`~repro.utils.parallel.auto_shard_size`) —
+  so every gate statement of a cycle runs once per group instead of
+  once per workload.  A group holds at most ``ceil(rows / jobs)``
+  workloads (``rows`` pending in the shard), so ``jobs`` workers still
+  have units to share, and at most as many as keep the packed net
+  values within the shard budget (:func:`~repro.utils.parallel.auto_shard_size`) —
   never fewer than one.  Each row is still scattered and checkpointed
   on its own, so a resume regroups whatever rows are pending.
 * **Sharding** — ``policy.shard_size`` bounds the faults per unit so
-  each unit's ``(n_nets, n_words)`` value matrix stays cache-resident
+  each unit's net values stay within the shard budget
   (``None``/``"auto"`` sizes it from the netlist; ``0`` disables
   sharding).  Shards are contiguous, so merged results are bitwise
   identical to an unsharded pass.
@@ -28,7 +28,7 @@ pair as an independent, supervised **unit** of work:
   (:class:`repro.utils.workerpool.WorkerPool`): workers fork once per
   campaign after the engine is built (fork-inherited context: netlists
   carry cell lambdas that cannot pickle, and the pre-built simulator
-  rides along copy-on-write), pull units from a dynamic queue so
+  and the netlist's compiled evaluator ride along copy-on-write), pull units from a dynamic queue so
   stragglers never idle the pool, and acknowledge each result over a
   pipe so a worker death loses at most the unit it held.  ``jobs=1``
   runs everything in-process with behaviour identical to the classic
@@ -128,8 +128,8 @@ class RunnerPolicy:
     the worker-process count (``0`` = all cores) and also caps a
     group at ``ceil(rows / jobs)`` workloads; ``shard_size`` bounds
     the faults simulated per unit (``0`` = the whole universe in one
-    shard, ``None``/``"auto"`` = sized so each shard's value matrix
-    fits in cache).
+    shard, ``None``/``"auto"`` = sized so each shard's net values fit
+    the shard budget).
 
     The pool-supervision knobs only matter when ``jobs > 1``:
     ``max_worker_restarts`` bounds how many dead workers one campaign
@@ -427,7 +427,7 @@ class CampaignRunner:
 
         Rows of one cycle count share a unit, at most
         ``ceil(rows / jobs)`` of them so ``jobs`` workers each get one,
-        and at most as many as keep the packed value matrix within the
+        and at most as many as keep the packed net values within the
         shard budget (one row always fits, however large).
         """
         budget_lanes = auto_shard_size(self.netlist.n_nets) + 1
@@ -488,7 +488,7 @@ class CampaignRunner:
 
         Workers fork once, *after* the shared simulation engine is
         built, so every child inherits the full campaign context —
-        netlist, stimulus, compiled observation, engine scratch —
+        netlist, stimulus, compiled observation, compiled evaluator —
         through copy-on-write pages instead of pickling.  Outcomes are
         yielded as acknowledgments arrive so checkpoints land the
         moment results exist.  A worker death (segfault, OOM kill)
@@ -506,7 +506,8 @@ class CampaignRunner:
             return
 
         # Build the engine pre-fork: children inherit the constructed
-        # simulator copy-on-write instead of each paying construction.
+        # simulator and its compiled netlist copy-on-write instead of
+        # each compiling it.
         self._shared_engine()
         pool_policy = PoolPolicy(
             jobs=jobs,

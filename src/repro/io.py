@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -68,6 +71,35 @@ def durable_replace(temporary: PathLike, path: PathLike) -> None:
     path = Path(path)
     os.replace(str(temporary), str(path))
     fsync_directory(path.parent)
+
+
+@contextmanager
+def _signals_held():
+    """Hold SIGINT and SIGTERM until the block ends, then deliver the
+    first one that arrived.
+
+    numpy's zip writer is not interrupt-safe: a ``KeyboardInterrupt``
+    that lands while it has an archive entry open surfaces from its
+    cleanup as a ``ValueError``, which would end an interrupted
+    campaign as a crash instead of a resumable shutdown.  Only the main
+    thread runs signal handlers, so elsewhere this holds nothing.
+    """
+    names = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.getsignal(signum) for signum in names]
+    if (threading.current_thread() is not threading.main_thread()
+            or None in previous):  # a handler installed outside Python
+        yield
+        return
+    held: List[int] = []
+    for signum in names:
+        signal.signal(signum, lambda signum, _frame: held.append(signum))
+    try:
+        yield
+    finally:
+        for signum, handler in zip(names, previous):
+            signal.signal(signum, handler)
+        if held:
+            signal.raise_signal(held[0])
 
 
 def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
@@ -318,7 +350,9 @@ def save_workload_checkpoint(
     The write is atomic *and durable*: the temp file is fsynced before
     the rename and the parent directory after it, so a kill or power
     cut at any instant never leaves a half-checkpoint — or a vanished
-    "successful" one — that a later ``--resume`` would trust.
+    "successful" one — that a later ``--resume`` would trust.  An
+    interrupt (SIGINT, SIGTERM) arriving mid-write is held until the
+    checkpoint is published (:func:`_signals_held`).
     """
     path = Path(path)
     metadata = {
@@ -328,20 +362,21 @@ def save_workload_checkpoint(
         "elapsed_seconds": float(elapsed_seconds),
     }
     temporary = path.with_name(path.name + ".tmp")
-    with open(temporary, "wb") as handle:
-        np.savez_compressed(
-            handle,
-            metadata=np.frombuffer(
-                json.dumps(metadata).encode("utf-8"), dtype=np.uint8
-            ),
-            error_cycles=np.asarray(error_cycles, dtype=np.int64),
-            detection_cycle=np.asarray(detection_cycle,
-                                       dtype=np.int64),
-            latent=np.asarray(latent, dtype=bool),
-        )
-        handle.flush()
-        os.fsync(handle.fileno())
-    durable_replace(temporary, path)
+    with _signals_held():
+        with open(temporary, "wb") as handle:
+            np.savez_compressed(
+                handle,
+                metadata=np.frombuffer(
+                    json.dumps(metadata).encode("utf-8"), dtype=np.uint8
+                ),
+                error_cycles=np.asarray(error_cycles, dtype=np.int64),
+                detection_cycle=np.asarray(detection_cycle,
+                                           dtype=np.int64),
+                latent=np.asarray(latent, dtype=bool),
+            )
+            handle.flush()
+            os.fsync(handle.fileno())
+        durable_replace(temporary, path)
 
 
 def load_workload_checkpoint(

@@ -8,10 +8,11 @@ D flip-flops (plain, with synchronous reset, and with enable).
 
 Every cell's logic is a pure bitwise function so the same definition
 drives the scalar reference simulator (operating on Python ints with
-``ones == 1``) and the 64-way bit-parallel simulator (operating on
-``numpy.uint64`` words with ``ones == 0xFFFF...F``).  Inversion is
-expressed as ``x ^ ones`` rather than ``~x`` so Python ints never go
-negative.
+``ones == 1``) and the bit-parallel simulator, whose compiler
+(:mod:`repro.netlist.compiled`) traces each function into a ``&``/``|``/
+``^`` expression over lane ints with ``ones`` set in every lane.
+Inversion is expressed as ``x ^ ones`` rather than ``~x`` so Python
+ints never go negative.
 
 Sequential cells are modeled uniformly: their function computes the
 *next state* from the input values; the simulator owns the state

@@ -25,6 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.netlist.cells import Cell, FEEDBACK_PORTS, get_cell
+from repro.netlist.compiled import CompiledNetlist, compile_netlist
 from repro.utils.errors import NetlistError
 
 
@@ -236,16 +237,18 @@ class Netlist:
         self._adjacency_cache: Optional[GateAdjacency] = None
         self._arrays_cache: Optional[GateArrays] = None
         self._input_nets_cache: Optional[List[int]] = None
+        self._compiled_cache: Optional[CompiledNetlist] = None
         self._bulk_depth = 0
         self._structure_dirty = False
 
     def invalidate_structure(self) -> None:
         """Drop connectivity-derived caches after a mutation.
 
-        Every code path that edits nets, gate pins, or primary outputs
-        must call this (construction helpers do so automatically); the
-        levelization, CSR adjacency, and attribute-array caches are
-        rebuilt lazily on next use.  Inside a :meth:`building` block the
+        Every code path that edits nets, gate pins, gate cells, or
+        primary outputs must call this (construction helpers do so
+        automatically); the levelization, CSR adjacency,
+        attribute-array and compiled-evaluator caches are rebuilt
+        lazily on next use.  Inside a :meth:`building` block the
         drop is deferred: construction helpers may call this once per
         gate, so bulk construction marks the caches dirty in O(1) and
         clears them when the block exits (or on the next cached read).
@@ -260,6 +263,7 @@ class Netlist:
         self._adjacency_cache = None
         self._arrays_cache = None
         self._input_nets_cache = None
+        self._compiled_cache = None
 
     def _flush_dirty(self) -> None:
         """Apply a deferred invalidation before serving a cached read."""
@@ -701,6 +705,15 @@ class Netlist:
             (np.arange(self.n_gates, dtype=np.int64), levels)
         )
         return order.tolist()
+
+    def compiled(self) -> CompiledNetlist:
+        """The straight-line bit-parallel evaluator of this netlist
+        (:mod:`repro.netlist.compiled`), compiled on first use and
+        cached until :meth:`invalidate_structure`."""
+        self._flush_dirty()
+        if self._compiled_cache is None:
+            self._compiled_cache = compile_netlist(self)
+        return self._compiled_cache
 
     def depth(self) -> int:
         """Maximum combinational level in the design."""

@@ -11,7 +11,10 @@ netlist uses:
   (``ND2 U1 (.A0(a), .A1(b), .Y(n1));``) — the output port is ``Y``
   for combinational cells and ``Q`` for flip-flops;
 * ``assign lhs = rhs;`` aliases, realized as ``BUF`` gates on read;
-* ``//`` and ``/* */`` comments.
+* ``//`` and ``/* */`` comments;
+* escaped identifiers (``\\bus[3] ``: a backslash, then any characters
+  up to white space, which names ``bus[3]``), read anywhere a name may
+  stand and written for every name that is not a plain identifier.
 
 This is enough to round-trip every design generated by
 :mod:`repro.circuits` and to import externally synthesized netlists
@@ -28,7 +31,27 @@ from repro.netlist.cells import FEEDBACK_PORTS, LIBRARY, get_cell
 from repro.netlist.netlist import Netlist
 from repro.utils.errors import NetlistError
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_$]*"
+_PLAIN = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+#: A plain identifier, or an escaped one: a backslash and everything up
+#: to the next white space (never backtracked into).
+_IDENT = rf"(?:\\\S+(?!\S)|{_PLAIN.pattern})"
+
+
+def _name(identifier: str) -> str:
+    """The name an identifier stands for: an escaped identifier names
+    its text without the leading backslash."""
+    return identifier[1:] if identifier[:1] == "\\" else identifier
+
+
+def _identifier(name: str) -> str:
+    """``name`` as a Verilog identifier, escaped unless plain."""
+    if _PLAIN.fullmatch(name):
+        return name
+    if not name or any(char.isspace() for char in name):
+        raise NetlistError(
+            f"name {name!r} cannot be written as a Verilog identifier"
+        )
+    return "\\" + name + " "
 
 
 def output_port_name(cell_name: str) -> str:
@@ -43,27 +66,30 @@ def to_verilog(netlist: Netlist) -> str:
     """Render ``netlist`` as structural Verilog text."""
     input_names = netlist.input_names()
     output_ports = netlist.output_names()
-    port_list = ", ".join(input_names + output_ports)
+    net_names = [_identifier(net.name) for net in netlist.nets]
+    port_list = ", ".join(_identifier(name)
+                          for name in input_names + output_ports)
 
     lines: List[str] = [
         "// generated by repro.netlist.verilog",
-        f"module {netlist.name} ({port_list});",
+        f"module {_identifier(netlist.name)} ({port_list});",
     ]
     for name in input_names:
-        lines.append(f"  input {name};")
+        lines.append(f"  input {_identifier(name)};")
     for name in output_ports:
-        lines.append(f"  output {name};")
+        lines.append(f"  output {_identifier(name)};")
 
     port_names = set(input_names) | set(output_ports)
-    for net in netlist.nets:
+    for net, name in zip(netlist.nets, net_names):
         if net.name not in port_names:
-            lines.append(f"  wire {net.name};")
+            lines.append(f"  wire {name};")
 
     # Primary outputs whose port name differs from the driving net.
     for net_index, port in netlist.primary_outputs:
-        net_name = netlist.nets[net_index].name
-        if net_name != port:
-            lines.append(f"  assign {port} = {net_name};")
+        if netlist.nets[net_index].name != port:
+            lines.append(
+                f"  assign {_identifier(port)} = {net_names[net_index]};"
+            )
 
     for gate in netlist.gates:
         feedback = FEEDBACK_PORTS.get(gate.cell.name)
@@ -71,11 +97,12 @@ def to_verilog(netlist: Netlist) -> str:
         for port, net in zip(gate.cell.ports, gate.inputs):
             if port == feedback:
                 continue  # implicit self-connection, rebuilt on read
-            connections.append(f".{port}({netlist.nets[net].name})")
+            connections.append(f".{port}({net_names[net]})")
         out_port = output_port_name(gate.cell.name)
-        connections.append(f".{out_port}({netlist.nets[gate.output].name})")
+        connections.append(f".{out_port}({net_names[gate.output]})")
         lines.append(
-            f"  {gate.cell.name} {gate.instance} ({', '.join(connections)});"
+            f"  {gate.cell.name} {_identifier(gate.instance)} "
+            f"({', '.join(connections)});"
         )
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
@@ -100,11 +127,14 @@ def write_verilog(netlist: Netlist, path: Union[str, Path]) -> None:
 # O(len(text) + V + E) plus one stable O(V log V) sort, and produces
 # netlists bitwise-identical to the historical repeated-sweep parser.
 
-_TOKEN_RE = re.compile(r"//[^\n]*|/\*|;|\n|\bendmodule\b")
+_TOKEN_RE = re.compile(r"\\\S+|//[^\n]*|/\*|;|\n|\bendmodule\b")
 _MODULE_RE = re.compile(rf"^module\s+({_IDENT})\s*\((.*)\)\s*$")
 _ASSIGN_RE = re.compile(rf"^assign\s+({_IDENT})\s*=\s*({_IDENT})$")
 _CONNECTION_RE = re.compile(rf"\.({_IDENT})\s*\(\s*({_IDENT})\s*\)")
 _INSTANCE_RE = re.compile(rf"^({_IDENT})\s+({_IDENT})\s*\((.*)\)$")
+#: The names of a declaration: comma- or space-separated tokens, where
+#: an escaped identifier runs to white space, commas included.
+_DECLARED_RE = re.compile(r"\\\S+|[^\s,]+")
 
 
 def _lex_statements(text: str):
@@ -139,7 +169,11 @@ def _lex_statements(text: str):
             break
         token = match.group()
         pos = match.end()
-        if token == "\n":
+        if token[0] == "\\":  # an escaped identifier, kept whole
+            if not stmt_line:
+                stmt_line = line
+            parts.append(token)
+        elif token == "\n":
             line += 1
             parts.append(" ")
         elif token == ";":
@@ -227,14 +261,15 @@ def from_verilog(text: str) -> Netlist:
                 header = _MODULE_RE.match(statement)
                 if not header:
                     raise NetlistError("no module found in Verilog source")
-                module_name = header.group(1)
+                module_name = _name(header.group(1))
             continue
         if kind == "end":
             ended = True
             break
         head = statement.split(None, 1)[0]
         if head in ("input", "output", "wire"):
-            names = statement[len(head):].replace(",", " ").split()
+            names = [_name(token) for token in
+                     _DECLARED_RE.findall(statement, len(head))]
             if head == "input":
                 input_decls.extend((name, line) for name in names)
             elif head == "output":
@@ -246,9 +281,8 @@ def from_verilog(text: str) -> Netlist:
                 raise NetlistError(
                     f"line {line}: unsupported assign: {statement!r}"
                 )
-            assigns.append(
-                (assign_match.group(1), assign_match.group(2), line)
-            )
+            assigns.append((_name(assign_match.group(1)),
+                            _name(assign_match.group(2)), line))
             continue
         inst_match = _INSTANCE_RE.match(statement)
         if not inst_match:
@@ -256,11 +290,15 @@ def from_verilog(text: str) -> Netlist:
                 f"line {line}: unparseable statement: {statement!r}"
             )
         cell_name, instance, connection_text = inst_match.groups()
+        cell_name, instance = _name(cell_name), _name(instance)
         if cell_name not in LIBRARY:
             raise NetlistError(
                 f"line {line}: unknown cell {cell_name!r} in {statement!r}"
             )
-        connections = dict(_CONNECTION_RE.findall(connection_text))
+        connections = {
+            _name(port): _name(net)
+            for port, net in _CONNECTION_RE.findall(connection_text)
+        }
         instances.append(_Instance(cell_name, instance, connections, line))
 
     if module_name is None or not ended:

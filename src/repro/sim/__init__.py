@@ -1,4 +1,4 @@
-"""Logic simulation: scalar reference engine, 64-way bit-parallel
+"""Logic simulation: scalar reference engine, compiled bit-parallel
 engine, stimulus containers, and per-design workload generators."""
 
 from repro.sim.bitparallel import (

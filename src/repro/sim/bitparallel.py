@@ -1,57 +1,54 @@
-"""64-way bit-parallel logic simulation engine.
+"""Bit-parallel logic simulation engine.
 
 This is the performance core of the fault-injection substrate (the
 stand-in for the paper's Cadence Xcelium campaigns).  Net values are
-``numpy.uint64`` words: bit *b* of word *w* carries the value seen by
-*lane* ``64*w + b``.  A fault pass (:meth:`BitParallelSimulator.run_pass`)
-lays its lanes out workload-major: each workload owns one contiguous
-span holding its own fault-free golden machine followed by one lane per
-fault.  A whole fault universe — and, with uniform cycle counts, a
-whole workload suite — therefore simulates in a single pass, with every
-gate evaluation a handful of vectorized numpy operations.
+Python ints: bit *k* of a net's int carries the value seen by *lane*
+*k*, and an int is as wide as the pass has lanes.  A fault pass
+(:meth:`BitParallelSimulator.run_pass`) lays its lanes out
+workload-major: each workload owns one contiguous span holding its own
+fault-free golden machine followed by one lane per fault.  A whole
+fault universe — and, with uniform cycle counts, a whole workload
+suite — therefore simulates in a single pass.
+
+Gates evaluate as straight-line Python compiled once per netlist
+(:meth:`Netlist.compiled <repro.netlist.netlist.Netlist.compiled>`,
+:mod:`repro.netlist.compiled`): one statement per gate in topological
+order, ``V[out] = (<expr> & K[out]) | F[out]``, with the stuck-at keep
+and force masks applied inline.  A cycle is a few dozen function calls
+however many gates and lanes it carries.
 
 The pass has three parts:
 
 * the *lane layout* (:class:`_LaneLayout`): which lane belongs to which
-  workload span and fault, and how a per-span bit spreads over packed
-  words;
-* the *injector* (:class:`StuckAt` or :class:`Upset`): permanent
-  force/clear masks, or a per-cycle flip schedule on flop outputs;
+  workload span and fault, and how a per-span bit spreads over lanes;
+* the *injector* (:class:`StuckAt` or :class:`Upset`): per-net keep and
+  force ints, or a per-cycle schedule of flips on flop outputs;
 * the *sink*: a :class:`MismatchAccumulator` always, plus a
   :class:`PassTrace` of gated per-output mismatch words when asked for.
 
-The schedule is levelized and type-grouped: gates of the same cell type
-on the same topological level evaluate together as one gather/compute/
-scatter step.
+Net values, settle, commit, forcing and flips are ints.  The output
+boundary is numpy: each cycle the primary outputs convert to packed
+``uint64`` words (bit *b* of word *w* is lane ``64*w + b``), where the
+golden comparison, strobe gating and mismatch accounting run.  Stimulus
+is spread from per-span bits to lanes one cycle at a time, so a pass
+never holds a cycles x inputs x lanes array.
 
-The inner loop is allocation-light on the hot path: per-word-width
-scratch buffers (gathers, output rows, mismatch masks) are built once
-and reused across cycles, constant-cell outputs are evaluated once per
-pass, fault forcing masks are gathered per group once per pass,
-stimulus is spread from per-span bits to lane words one cycle at a time
-(so a pass never holds a cycles x inputs x words array), and per-lane
-error-cycle counts accumulate by popcounting chunks of packed mismatch
-words instead of unpacking every mismatch cycle.
-
-Every numpy dispatch of a cycle is paid once per pass, however many
-lanes it carries, so callers pack workloads of one cycle count into one
-pass (:func:`cycle_groups`): golden statistics run one lane per
-workload, fault campaigns one span per workload.
+Every statement of a cycle is paid once per pass, however many lanes
+it carries, so callers pack workloads of one cycle count into one pass
+(:func:`cycle_groups`): golden statistics run one lane per workload,
+fault campaigns one span per workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.netlist.cells import Cell
 from repro.netlist.netlist import Netlist
 from repro.sim.waveform import Workload
 from repro.utils.errors import SimulationError
-
-ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Mismatch rows buffered between popcount flushes (64 words * 8 bytes
 #: per row keeps the buffer a few hundred KiB even for huge universes).
@@ -146,78 +143,6 @@ class GoldenStats:
         return self.transition_count / denominator
 
 
-class _PassScratch:
-    """Reusable per-word-width buffers for one simulator.
-
-    Everything here depends only on the schedule and the machine-word
-    count ``n_words``, so a scratch set is built once per width and
-    reused by every cycle of every pass at that width (the campaign
-    runner replays many workloads against same-sized shards).
-    """
-
-    def __init__(self, sim: "BitParallelSimulator", n_words: int):
-        self.n_words = n_words
-        self.comb_gather: List[Optional[np.ndarray]] = []
-        self.const_out: List[Optional[np.ndarray]] = []
-        for cell, out_idx, in_idx in sim._comb_groups:
-            if in_idx.shape[1] == 0:
-                self.comb_gather.append(None)
-                constant = cell.function([], ONES)
-                self.const_out.append(np.full(
-                    (len(out_idx), n_words), constant, dtype=np.uint64,
-                ))
-            else:
-                self.comb_gather.append(np.empty(
-                    in_idx.shape + (n_words,), dtype=np.uint64,
-                ))
-                self.const_out.append(None)
-        self.flop_gather: List[np.ndarray] = [
-            np.empty(in_idx.shape + (n_words,), dtype=np.uint64)
-            for _, _, in_idx in sim._flop_groups
-        ]
-        n_outputs = len(sim._po_idx)
-        self.po = np.empty((n_outputs, n_words), dtype=np.uint64)
-        self.diff = np.empty((n_outputs, n_words), dtype=np.uint64)
-        self.mismatch = np.empty(n_words, dtype=np.uint64)
-
-
-class _FaultMasks:
-    """Per-pass fault forcing, pre-gathered per schedule group.
-
-    The packed ``clear``/``force`` matrices are constant over a pass, so
-    the per-group rows the inner loop needs are gathered once here —
-    groups with no faulted output skip masking entirely (``None``), and
-    constant cells collapse to a single pre-masked output array.
-    """
-
-    def __init__(self, sim: "BitParallelSimulator", clear: np.ndarray,
-                 force: np.ndarray, scratch: _PassScratch):
-        self.comb: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-        self.const_out: List[Optional[np.ndarray]] = []
-        for index, (_, out_idx, in_idx) in enumerate(sim._comb_groups):
-            rows = clear[out_idx]
-            masked = (rows.any(), np.bitwise_not(rows), force[out_idx])
-            if in_idx.shape[1] == 0:
-                base = scratch.const_out[index]
-                self.const_out.append(
-                    (base & masked[1]) | masked[2]
-                    if masked[0] else base
-                )
-                self.comb.append(None)
-            else:
-                self.const_out.append(None)
-                self.comb.append(
-                    (masked[1], masked[2]) if masked[0] else None
-                )
-        self.flops: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-        for _, out_idx, _ in sim._flop_groups:
-            rows = clear[out_idx]
-            self.flops.append(
-                (np.bitwise_not(rows), force[out_idx])
-                if rows.any() else None
-            )
-
-
 class _LaneLayout:
     """Workload-major lane layout of one pass.
 
@@ -242,13 +167,19 @@ class _LaneLayout:
             lane_bits, axis=1, bitorder="little"
         ).view(np.uint64)
         self.valid = np.bitwise_or.reduce(self.span_masks, axis=0)
+        #: The span masks' bytes as floats: spans are disjoint, so each
+        #: byte of a spread is a sum of at most 255 and a float32
+        #: product computes it exactly (numpy has no BLAS for integers).
+        self._span_bytes = self.span_masks.view(np.uint8).astype(
+            np.float32
+        )
         golden = lanes[::self.span]
         self._golden_word = golden >> 6
         self._golden_bit = np.uint64(1) << (golden & 63).astype(np.uint64)
-        faults = lanes.reshape(n_spans, self.span)[:, 1:].ravel()
-        #: Word index and bit mask of each fault lane, workload-major.
-        self.fault_word = faults >> 6
-        self.fault_bit = np.uint64(1) << (faults & 63).astype(np.uint64)
+        #: Every lane of the pass as one int (the compiled code's ``M``).
+        self.lanes = (1 << self.n_lanes) - 1
+        #: Each fault's lane, workload-major.
+        self.fault_lanes = lanes.reshape(n_spans, self.span)[:, 1:].ravel()
 
     def golden(self, rows: np.ndarray) -> np.ndarray:
         """Each span's golden bit of every row: bool (rows, n_spans)."""
@@ -258,7 +189,9 @@ class _LaneLayout:
         """Fill every span's lanes with its bit: bool ``(..., n_spans)``
         to packed uint64 ``(..., n_words)`` (spans are disjoint, so the
         product is their union)."""
-        return bits.astype(np.uint64) @ self.span_masks
+        return (bits.astype(np.float32) @ self._span_bytes).astype(
+            np.uint8
+        ).view(np.uint64)
 
     def golden_diff(self, rows: np.ndarray) -> np.ndarray:
         """Per-lane difference of ``rows`` from each span's golden."""
@@ -275,11 +208,15 @@ class _LaneLayout:
         return per_lane[:self.n_lanes:self.span]
 
 
-#: What an injector hands the kernel: fault masks for the settle and
-#: commit steps (or ``None``), the initial net values, and the per-cycle
-#: flip schedule ``{cycle: (nets, words, bit masks)}``.
-_Armed = Tuple[Optional[_FaultMasks], np.ndarray,
-               Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]]
+class _Armed(NamedTuple):
+    """What an injector hands the kernel: per-net keep and force ints
+    for the compiled settle and commit steps, the initial net values,
+    and the per-cycle flip schedule ``{cycle: [(net, lanes), ...]}``."""
+
+    keep: List[int]
+    force: List[int]
+    values: List[int]
+    flips: Dict[int, List[Tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -296,22 +233,20 @@ class StuckAt:
                        layout.n_spans)
         stuck_one = np.tile(np.asarray(self.values).astype(bool),
                             layout.n_spans)
-        shape = (sim.netlist.n_nets, layout.n_words)
-        clear = np.zeros(shape, dtype=np.uint64)
-        force = np.zeros(shape, dtype=np.uint64)
-        np.bitwise_or.at(clear, (nets, layout.fault_word),
-                         layout.fault_bit)
-        np.bitwise_or.at(
-            force,
-            (nets[stuck_one], layout.fault_word[stuck_one]),
-            layout.fault_bit[stuck_one],
-        )
-        masks = _FaultMasks(sim, clear, force,
-                            sim._scratch(layout.n_words))
+        n_nets = sim.netlist.n_nets
+        keep = [layout.lanes] * n_nets
+        for net, lanes in _lane_ints(nets, layout.fault_lanes,
+                                     layout.n_words).items():
+            keep[net] = layout.lanes ^ lanes
+        force = [0] * n_nets
+        for net, lanes in _lane_ints(nets[stuck_one],
+                                     layout.fault_lanes[stuck_one],
+                                     layout.n_words).items():
+            force[net] = lanes
         # The stuck value holds from t=0: faulty nets (notably flop
         # outputs, whose forcing is otherwise applied at commit time)
         # start at their forced state rather than the reset state.
-        return masks, force.copy(), {}
+        return _Armed(keep, force, list(force), {})
 
 
 @dataclass(frozen=True)
@@ -326,7 +261,7 @@ class Upset:
 
     def arm(self, sim: "BitParallelSimulator", layout: _LaneLayout,
             n_cycles: int) -> _Armed:
-        if not np.isin(self.nets, sim._flop_out_idx).all():
+        if not np.isin(self.nets, sim._flop_nets).all():
             raise SimulationError(
                 "transient faults target flip-flop outputs only"
             )
@@ -337,17 +272,17 @@ class Upset:
                 f"injection cycle {int(cycles[outside][0])} outside "
                 "the workload"
             )
-        nets = np.tile(np.asarray(self.nets, dtype=np.intp),
-                       layout.n_spans)
-        cycles = np.tile(cycles, layout.n_spans)
-        flips = {}
-        for cycle in np.unique(cycles):
-            at = cycles == cycle
-            flips[int(cycle)] = (nets[at], layout.fault_word[at],
-                                 layout.fault_bit[at])
-        values = np.zeros((sim.netlist.n_nets, layout.n_words),
-                          dtype=np.uint64)
-        return None, values, flips
+        n_nets = sim.netlist.n_nets
+        keys = (np.tile(cycles, layout.n_spans) * n_nets
+                + np.tile(np.asarray(self.nets, dtype=np.int64),
+                          layout.n_spans))
+        flips: Dict[int, List[Tuple[int, int]]] = {}
+        for key, lanes in _lane_ints(keys, layout.fault_lanes,
+                                     layout.n_words).items():
+            cycle, net = divmod(key, n_nets)
+            flips.setdefault(cycle, []).append((net, lanes))
+        return _Armed([layout.lanes] * n_nets, [0] * n_nets,
+                      [0] * n_nets, flips)
 
 
 class MismatchAccumulator:
@@ -408,76 +343,25 @@ class MismatchAccumulator:
 
 
 class BitParallelSimulator:
-    """Levelized, type-grouped, machine-parallel simulator."""
+    """Machine-parallel simulator over a netlist's compiled evaluator.
+
+    Construction compiles the netlist (once per netlist, cached on it),
+    so a simulator built before a fork hands its workers the compiled
+    code through copy-on-write pages.
+    """
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._build_schedule()
-        self._scratch_cache: Dict[int, _PassScratch] = {}
-
-    # ------------------------------------------------------------------
-    # schedule construction
-    # ------------------------------------------------------------------
-    def _build_schedule(self) -> None:
-        netlist = self.netlist
-        levels = netlist.levelize()
-
-        grouped: Dict[Tuple[int, str], List[int]] = {}
-        for gate in netlist.gates:
-            if gate.is_sequential:
-                continue
-            grouped.setdefault(
-                (levels[gate.index], gate.cell.name), []
-            ).append(gate.index)
-
-        self._comb_groups: List[Tuple[Cell, np.ndarray, np.ndarray]] = []
-        for (_, _), gate_indices in sorted(grouped.items()):
-            first = netlist.gates[gate_indices[0]]
-            out_idx = np.array(
-                [netlist.gates[i].output for i in gate_indices],
-                dtype=np.intp,
-            )
-            in_idx = np.array(
-                [netlist.gates[i].inputs for i in gate_indices],
-                dtype=np.intp,
-            ).reshape(len(gate_indices), first.cell.n_inputs)
-            self._comb_groups.append((first.cell, out_idx, in_idx))
-
-        flop_grouped: Dict[str, List[int]] = {}
-        for gate in netlist.sequential_gates():
-            flop_grouped.setdefault(gate.cell.name, []).append(gate.index)
-        self._flop_groups: List[Tuple[Cell, np.ndarray, np.ndarray]] = []
-        for _, gate_indices in sorted(flop_grouped.items()):
-            first = netlist.gates[gate_indices[0]]
-            out_idx = np.array(
-                [netlist.gates[i].output for i in gate_indices],
-                dtype=np.intp,
-            )
-            in_idx = np.array(
-                [netlist.gates[i].inputs for i in gate_indices],
-                dtype=np.intp,
-            )
-            self._flop_groups.append((first.cell, out_idx, in_idx))
-
-        self._pi_idx = np.array(netlist.input_nets(), dtype=np.intp)
+        self._program = netlist.compiled()
+        self._pi_nets = netlist.input_nets()
         self._pi_names = netlist.input_names()
-        self._po_idx = np.array(
-            [net for net, _ in netlist.primary_outputs], dtype=np.intp
-        )
-        self._flop_out_idx = np.array(
-            [gate.output for gate in netlist.sequential_gates()],
-            dtype=np.intp,
-        )
-
-    def _scratch(self, n_words: int) -> _PassScratch:
-        scratch = self._scratch_cache.get(n_words)
-        if scratch is None:
-            scratch = _PassScratch(self, n_words)
-            self._scratch_cache[n_words] = scratch
-        return scratch
+        self._po_nets = [net for net, _ in netlist.primary_outputs]
+        self._flop_nets = [
+            gate.output for gate in netlist.sequential_gates()
+        ]
 
     # ------------------------------------------------------------------
-    # inner loops
+    # cycle steps
     # ------------------------------------------------------------------
     def _check_workload(self, workload: Workload) -> None:
         if workload.input_names != self._pi_names:
@@ -489,82 +373,30 @@ class BitParallelSimulator:
     def _stimulus(self, workloads: Sequence[Workload]) -> np.ndarray:
         """Per-span input bits of one pass's workloads, all of one cycle
         count: uint8 ``(cycles, n_pi, n_spans)``.  The pass spreads one
-        cycle at a time onto its lanes (:meth:`_LaneLayout.spread`)."""
+        cycle at a time onto its lanes (:meth:`_drive`)."""
         for workload in workloads:
             self._check_workload(workload)
         return np.stack([workload.vectors for workload in workloads],
                         axis=2)
 
-    def _settle(
-        self,
-        values: np.ndarray,
-        masks: Optional[_FaultMasks],
-        scratch: _PassScratch,
-    ) -> None:
-        """Evaluate all combinational groups in level order."""
-        for index, (cell, out_idx, in_idx) in enumerate(
-            self._comb_groups
-        ):
-            if in_idx.shape[1] == 0:
-                values[out_idx] = (
-                    masks.const_out[index] if masks is not None
-                    else scratch.const_out[index]
-                )
-                continue
-            gather = scratch.comb_gather[index]
-            np.take(values, in_idx, axis=0, out=gather)
-            out = cell.function(
-                [gather[:, position]
-                 for position in range(in_idx.shape[1])],
-                ONES,
-            )
-            if masks is not None and masks.comb[index] is not None:
-                keep, forced = masks.comb[index]
-                out &= keep
-                out |= forced
-            values[out_idx] = out
+    def _drive(self, values: List[int], layout: _LaneLayout,
+               bits: np.ndarray) -> None:
+        """Set every primary input to one cycle's per-span bits."""
+        for net, lanes in zip(self._pi_nets,
+                              _ints(layout.spread(bits))):
+            values[net] = lanes
 
-    def _commit(
-        self,
-        values: np.ndarray,
-        masks: Optional[_FaultMasks],
-        scratch: _PassScratch,
-    ) -> None:
-        """Compute and commit all flip-flop next-states."""
-        staged: List[Tuple[np.ndarray, np.ndarray]] = []
-        for index, (cell, out_idx, in_idx) in enumerate(
-            self._flop_groups
-        ):
-            gather = scratch.flop_gather[index]
-            np.take(values, in_idx, axis=0, out=gather)
-            out = cell.function(
-                [gather[:, position]
-                 for position in range(in_idx.shape[1])],
-                ONES,
-            )
-            if masks is not None and masks.flops[index] is not None:
-                keep, forced = masks.flops[index]
-                out &= keep
-                out |= forced
-            staged.append((out_idx, out))
-        for out_idx, out in staged:
-            values[out_idx] = out
-
-    def _output_diff(
-        self, values: np.ndarray, layout: _LaneLayout, observation,
-        scratch: _PassScratch,
-    ) -> np.ndarray:
-        """One cycle's strobe-gated per-output mismatch words (a view
-        into scratch): each span compares against its own golden lane,
-        and a strobed output keeps only the spans whose golden strobe
-        is active."""
-        po, diff = scratch.po, scratch.diff
-        np.take(values, self._po_idx, axis=0, out=po)
+    def _output_diff(self, values: List[int], layout: _LaneLayout,
+                     observation) -> np.ndarray:
+        """One cycle's strobe-gated per-output mismatch words: each
+        span compares against its own golden lane, and a strobed output
+        keeps only the spans whose golden strobe is active.  Lanes past
+        the layout are zero in every value, so they never differ."""
+        po = _words([values[net] for net in self._po_nets],
+                    layout.n_words)
         golden = layout.golden(po)
-        np.bitwise_xor(po, layout.spread(golden), out=diff)
-        if observation is None:
-            diff &= layout.valid
-        else:  # gated spans are a subset of the valid lanes
+        diff = po ^ layout.spread(golden)
+        if observation is not None:
             diff &= layout.spread(observation.compare_mask(golden))
         return diff
 
@@ -576,31 +408,31 @@ class BitParallelSimulator:
 
         Each cycle-count group simulates in one pass with one lane per
         workload.  Every cycle adds each net's popcount over the
-        group's valid lanes (constant cells drive the unused tail lanes
-        too); the group's first cycle has no predecessor, so it counts
-        no transitions.
+        group's lanes; the group's first cycle has no predecessor, so
+        it counts no transitions.
         """
+        program = self._program
         n_nets = self.netlist.n_nets
         ones_count = np.zeros(n_nets, dtype=np.int64)
         transition_count = np.zeros(n_nets, dtype=np.int64)
         for positions in cycle_groups(workloads):
             stimulus = self._stimulus([workloads[p] for p in positions])
             layout = _LaneLayout(len(positions), 0)
-            scratch = self._scratch(layout.n_words)
-            values = np.zeros((n_nets, layout.n_words), dtype=np.uint64)
-            live, previous = np.empty_like(values), np.empty_like(values)
-            ones = np.zeros(values.shape, dtype=np.int64)
-            transitions = np.zeros(values.shape, dtype=np.int64)
-            for cycle, bits in enumerate(stimulus):
-                values[self._pi_idx] = layout.spread(bits)
-                self._settle(values, None, scratch)
-                self._commit(values, None, scratch)
-                np.bitwise_and(values, layout.valid, out=live)
+            lanes = layout.lanes
+            keep, force = [lanes] * n_nets, [0] * n_nets
+            values = [0] * n_nets
+            ones = np.zeros((n_nets, layout.n_words), dtype=np.int64)
+            transitions = np.zeros_like(ones)
+            previous = None
+            for bits in stimulus:
+                self._drive(values, layout, bits)
+                program.settle(values, keep, force, lanes)
+                program.commit(values, keep, force, lanes)
+                live = _words(values, layout.n_words)
                 ones += np.bitwise_count(live)
-                if cycle:
-                    np.bitwise_xor(live, previous, out=previous)
-                    transitions += np.bitwise_count(previous)
-                live, previous = previous, live
+                if previous is not None:
+                    transitions += np.bitwise_count(live ^ previous)
+                previous = live
             ones_count += ones.sum(axis=1)
             transition_count += transitions.sum(axis=1)
         return GoldenStats(
@@ -616,19 +448,20 @@ class BitParallelSimulator:
 
         Used by cross-check tests against the scalar simulator.
         """
+        program = self._program
         stimulus = self._stimulus([workload])
         layout = _LaneLayout(1, 0)
-        values = np.zeros((self.netlist.n_nets, 1), dtype=np.uint64)
-        outputs = np.zeros((workload.cycles, len(self._po_idx)),
+        lanes = layout.lanes
+        n_nets = self.netlist.n_nets
+        keep, force = [lanes] * n_nets, [0] * n_nets
+        values = [0] * n_nets
+        outputs = np.zeros((workload.cycles, len(self._po_nets)),
                            dtype=np.uint8)
-        scratch = self._scratch(1)
         for cycle, bits in enumerate(stimulus):
-            values[self._pi_idx] = layout.spread(bits)
-            self._settle(values, None, scratch)
-            outputs[cycle] = (
-                values[self._po_idx, 0] & np.uint64(1)
-            ).astype(np.uint8)
-            self._commit(values, None, scratch)
+            self._drive(values, layout, bits)
+            program.settle(values, keep, force, lanes)
+            outputs[cycle] = [values[net] for net in self._po_nets]
+            program.commit(values, keep, force, lanes)
         return outputs
 
     # ------------------------------------------------------------------
@@ -667,38 +500,36 @@ class BitParallelSimulator:
         n_cycles = cycles.pop()
         stimulus = self._stimulus(workloads)
 
+        program = self._program
         layout = _LaneLayout(len(workloads), len(injection.nets))
-        scratch = self._scratch(layout.n_words)
-        masks, values, flips = injection.arm(self, layout, n_cycles)
+        keep, force, values, flips = injection.arm(self, layout,
+                                                   n_cycles)
+        lanes = layout.lanes
         accumulator = MismatchAccumulator(layout.n_words)
         record = PassTrace.allocate(
-            n_cycles, len(self._po_idx), len(self._flop_out_idx),
+            n_cycles, len(self._po_nets), len(self._flop_nets),
             layout.n_words,
         ) if trace else None
 
         for cycle in range(n_cycles):
-            flip = flips.get(cycle)
-            if flip is not None:
-                nets, words, bits = flip
-                np.bitwise_xor.at(values, (nets, words), bits)
-            values[self._pi_idx] = layout.spread(stimulus[cycle])
-            self._settle(values, masks, scratch)
-            diff = self._output_diff(values, layout, observation,
-                                     scratch)
+            for net, flipped in flips.get(cycle, ()):
+                values[net] ^= flipped
+            self._drive(values, layout, stimulus[cycle])
+            program.settle(values, keep, force, lanes)
+            diff = self._output_diff(values, layout, observation)
             if record is not None:
                 record.output_diff[cycle] = diff
-            accumulator.record(
-                np.bitwise_or.reduce(diff, axis=0, out=scratch.mismatch),
-                cycle,
-            )
-            self._commit(values, masks, scratch)
+            accumulator.record(np.bitwise_or.reduce(diff, axis=0), cycle)
+            program.commit(values, keep, force, lanes)
 
         observed = accumulator.observed()
         if layout.goldens(observed).any():
             raise SimulationError(
                 "golden machine diverged from itself — engine bug"
             )
-        end_diff = layout.golden_diff(values[self._flop_out_idx])
+        end_diff = layout.golden_diff(_words(
+            [values[net] for net in self._flop_nets], layout.n_words
+        ))
         if record is not None:
             record.flop_end_diff[:] = end_diff
         corrupted = _lane_flags(np.bitwise_or.reduce(end_diff, axis=0))
@@ -717,6 +548,35 @@ def cycle_groups(workloads: Sequence[Workload]) -> List[List[int]]:
     for position, workload in enumerate(workloads):
         groups.setdefault(workload.cycles, []).append(position)
     return list(groups.values())
+
+
+def _ints(rows: np.ndarray) -> List[int]:
+    """Packed ``uint64`` rows as lane ints (bit *k* is lane *k*)."""
+    data = rows.tobytes()
+    size = 8 * rows.shape[-1]
+    return [int.from_bytes(data[start:start + size], "little")
+            for start in range(0, len(data), size)]
+
+
+def _words(values: Sequence[int], n_words: int) -> np.ndarray:
+    """Lane ints as packed ``uint64`` rows ``(len(values), n_words)``;
+    the inverse of :func:`_ints`."""
+    size = 8 * n_words
+    return np.frombuffer(
+        b"".join([value.to_bytes(size, "little") for value in values]),
+        dtype=np.uint64,
+    ).reshape(len(values), n_words)
+
+
+def _lane_ints(keys: np.ndarray, lanes: np.ndarray,
+               n_words: int) -> Dict[int, int]:
+    """OR together the ``lanes`` that share a key: one lane int per
+    distinct key."""
+    unique, rows = np.unique(keys, return_inverse=True)
+    words = np.zeros((len(unique), n_words), dtype=np.uint64)
+    np.bitwise_or.at(words, (rows, lanes >> 6),
+                     np.uint64(1) << (lanes & 63).astype(np.uint64))
+    return dict(zip(unique.tolist(), _ints(words)))
 
 
 def _lane_flags(mask_words: np.ndarray) -> np.ndarray:

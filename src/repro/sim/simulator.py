@@ -57,15 +57,16 @@ class Simulator:
 
         Applies ``inputs`` (missing inputs hold their previous value),
         settles combinational logic, returns the primary-output values
-        for this cycle, then commits flip-flop next-states.
+        for this cycle, then commits flip-flop next-states.  A call
+        naming an unknown input raises before it changes any value.
         """
+        unknown = set(inputs) - set(self._pi_names)
+        if unknown:
+            raise SimulationError(f"unknown inputs {sorted(unknown)}")
         values = self._values
         for name, net in zip(self._pi_names, self._pi_nets):
             if name in inputs:
                 values[net] = 1 if inputs[name] else 0
-        unknown = set(inputs) - set(self._pi_names)
-        if unknown:
-            raise SimulationError(f"unknown inputs {sorted(unknown)}")
 
         for gate in self._order:
             values[gate.output] = gate.cell.function(

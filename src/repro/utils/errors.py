@@ -14,6 +14,13 @@ class NetlistError(ReproError):
     multiple drivers, combinational loops, or bad port arity."""
 
 
+class UntraceableCellError(NetlistError):
+    """Raised when a cell's function cannot compile to straight-line
+    bitwise code: it branches on an input, uses ``~``, arithmetic or a
+    constant, or its traced expression disagrees with its truth
+    table.  The message names the cell."""
+
+
 class SimulationError(ReproError):
     """Raised for invalid simulation requests: stimulus/port mismatches,
     unknown probe names, or empty workloads."""

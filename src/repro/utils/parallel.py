@@ -4,10 +4,10 @@ BLAS thread budget.
 The sharded campaign engine splits a fault universe into contiguous
 shards and fans (workload group x shard) units out over worker
 processes.  This module holds the policy arithmetic — how many workers
-a host can sustain, and how large a shard can grow before its value
-matrix (``n_nets x n_words x 8`` bytes) falls out of cache — kept free
-of any FI vocabulary so other fan-out stages (feature extraction,
-training sweeps) can reuse it.
+a host can sustain, and how many lanes one unit may carry before its
+net values (``n_nets`` ints of ``8 * n_words`` bytes each) outgrow the
+shard budget — kept free of any FI vocabulary so other fan-out stages
+(feature extraction, training sweeps) can reuse it.
 
 Parallelism comes from ``--jobs`` processes, not from BLAS threads.
 The matrices here are 16–64 columns wide, so a second OpenBLAS thread
@@ -27,9 +27,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.utils.errors import CampaignError
 
-#: Cache budget for one shard's value matrix.  Sized for a typical
-#: desktop L2 (per-core) so the gather/scatter inner loop stays
-#: cache-resident; the golden machine costs one extra bit per word.
+#: Budget for one unit's net values: ``n_nets`` lane ints of
+#: ``8 * n_words`` bytes each.  ``--shard-size auto`` sizes shards to
+#: it, and a campaign packs no more same-length workloads into one unit
+#: than keep its values within it (one workload always fits).  A
+#: unit's working set is its values plus keep and force masks on the
+#: faulted nets, under three times the values, so under sharding the
+#: budget bounds a unit's memory and the width of every int the
+#: compiled evaluator combines.  The golden machine costs one extra
+#: lane per workload.
 DEFAULT_SHARD_BUDGET_BYTES = 4 * 1024 * 1024
 
 
@@ -53,7 +59,7 @@ def auto_shard_size(
     n_nets: int,
     budget_bytes: int = DEFAULT_SHARD_BUDGET_BYTES,
 ) -> int:
-    """Largest shard whose value matrix fits the cache budget.
+    """Largest shard whose net values fit the budget.
 
     A shard of ``f`` faults simulates ``f + 1`` machines (the golden
     machine rides along in bit 0), so choosing ``f = 64*w - 1`` packs

@@ -28,6 +28,16 @@ def test_step_unknown_input(tiny_netlist):
         sim.step({"zz": 1})
 
 
+def test_rejected_step_applies_no_input(sdram):
+    """A step naming an unknown input raises before it drives anything:
+    the known input it also named must not be held into the next step."""
+    rejected, clean = Simulator(sdram), Simulator(sdram)
+    with pytest.raises(SimulationError, match="no_such_input"):
+        rejected.step({"req": 1, "no_such_input": 1})
+    assert rejected._values == clean._values
+    assert rejected.step({}) == clean.step({})
+
+
 def test_reset_clears_state():
     netlist = Netlist("t")
     a = netlist.add_input("a")

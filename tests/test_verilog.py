@@ -304,3 +304,50 @@ def test_final_statement_without_semicolon_still_parses():
         " IV U1 (.A0(a), .Y(y)) endmodule"
     )
     assert netlist.n_gates == 1
+
+
+def test_escaped_identifiers_read_as_their_names():
+    text = (
+        "module \\top.v  (\\a[0] , b, \\y;z );\n"
+        "  input \\a[0] , b;\n"
+        "  output \\y;z ;\n"
+        "  wire \\n/*1*/ ;\n"
+        "  ND2 \\u$1//x  (.A0(\\a[0] ), .A1(b), .Y(\\n/*1*/ ));\n"
+        "  assign \\y;z  = \\n/*1*/ ;\n"
+        "endmodule\n"
+    )
+    netlist = from_verilog(text)
+    assert netlist.name == "top.v"
+    assert netlist.input_names() == ["a[0]", "b"]
+    assert netlist.output_names() == ["y;z"]
+    assert netlist.gate_by_instance("u$1//x").cell.name == "ND2"
+    assert netlist.nets[netlist.gates[0].output].name == "n/*1*/"
+    # An escaped plain name is the plain name.
+    assert from_verilog(text.replace("\\top.v ", "\\top ")).name == "top"
+
+
+def test_roundtrip_escapes_names_that_are_not_identifiers():
+    netlist = Netlist.from_gates(
+        "core[0]",
+        ["in,0", "in;1", "plain"],
+        [("AN2", "u/1", ["in,0", "in;1"], "n[0]"),
+         ("DFF", "q(0)", ["n[0]"], "state\\0"),
+         ("OR2", "u2", ["state\\0", "plain"], "out//0")],
+        outputs=[("out//0", "y.0"), ("n[0]", "n[0]")],
+    )
+    parsed = roundtrip(netlist)
+    assert parsed.name == "core[0]"
+    assert [net.name for net in parsed.nets] == [
+        net.name for net in netlist.nets
+    ]
+    assert sorted(parsed.node_names()) == sorted(netlist.node_names())
+    assert parsed.output_names() == ["y.0", "n[0]"]
+    assert to_verilog(roundtrip(parsed)) == to_verilog(parsed)
+    assert "  input plain;" in to_verilog(netlist)
+
+
+def test_names_with_white_space_cannot_be_written():
+    netlist = Netlist("spaced")
+    netlist.add_output(netlist.add_input("a b"), "y")
+    with pytest.raises(NetlistError, match="'a b'"):
+        to_verilog(netlist)
