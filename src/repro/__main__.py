@@ -113,6 +113,16 @@ def _print_eco_header(eco) -> None:
           f"(baseline campaign took {eco.base_seconds:.2f}s)")
 
 
+def _publish_campaign(campaign, path):
+    """Atomically write ``--out``/``--save-campaign``: a bare name
+    lands at ``NAME.npz``, as numpy names it, and an interrupted write
+    leaves no file.  Returns the path written."""
+    from repro.io import npz_path, publish, save_campaign
+
+    return publish(npz_path(path),
+                   lambda handle: save_campaign(campaign, handle))
+
+
 def cmd_analyze(args) -> int:
     analyzer = _make_analyzer(args)
     if args.eco:
@@ -157,10 +167,8 @@ def cmd_analyze(args) -> int:
             print(render_table([report.as_row()],
                                title=f"Node {report.node_name}"))
     if args.save_campaign:
-        from repro.io import save_campaign
-
-        save_campaign(analyzer.campaign, args.save_campaign)
-        print(f"\ncampaign written to {args.save_campaign}")
+        target = _publish_campaign(analyzer.campaign, args.save_campaign)
+        print(f"\ncampaign written to {target}")
     return 0
 
 
@@ -261,10 +269,8 @@ def cmd_campaign(args) -> int:
           f"{dataset.critical_fraction:.1%} Critical at threshold "
           f"{dataset.threshold}")
     if args.out:
-        from repro.io import save_campaign
-
-        save_campaign(campaign, args.out)
-        print(f"campaign written to {args.out}")
+        target = _publish_campaign(campaign, args.out)
+        print(f"campaign written to {target}")
     return 0 if not campaign.failures else 2
 
 

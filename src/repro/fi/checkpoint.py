@@ -80,6 +80,27 @@ class CheckpointStore:
         #: ``(workload, shard, reason)`` of unit files whose bytes were
         #: torn (truncated mid-kill) and will be re-simulated on resume.
         self.stale_units: List[Tuple[int, int, str]] = []
+        self._manifest: Optional[dict] = None
+
+    @classmethod
+    def from_manifest(cls, directory: PathLike) -> "CheckpointStore":
+        """Reopen a store as its manifest describes it — the ECO
+        baseline path, which learns the campaign from the store rather
+        than the other way round.  The manifest is read once; a later
+        ``open(resume=True)`` validates that same copy."""
+        manifest = _read_manifest(
+            Path(directory) / MANIFEST_NAME,
+            ("fingerprint", "netlist_name", "workload_names", "n_faults"),
+        )
+        store = cls(
+            directory, fingerprint=manifest["fingerprint"],
+            netlist_name=manifest["netlist_name"],
+            workload_names=manifest["workload_names"],
+            n_faults=int(manifest["n_faults"]),
+            shard_bounds=manifest.get("shards"),
+        )
+        store._manifest = manifest
+        return store
 
     @property
     def n_shards(self) -> int:
@@ -97,10 +118,6 @@ class CheckpointStore:
         return self.directory / (
             f"workload_{index:04d}_shard_{shard:03d}.npz"
         )
-
-    def workload_path(self, index: int) -> Path:
-        """Unsharded-layout file for one workload (legacy name)."""
-        return self.unit_path(index, 0)
 
     # -- lifecycle -----------------------------------------------------
     def open(self, resume: bool) -> Dict[Tuple[int, int], dict]:
@@ -164,21 +181,13 @@ class CheckpointStore:
             "n_faults": self.n_faults,
             "shards": [list(bounds) for bounds in self.shard_bounds],
         }
-        from repro.io import atomic_write_text
+        from repro.io import publish, write_json
 
-        atomic_write_text(self.manifest_path,
-                          json.dumps(payload, indent=1))
+        publish(self.manifest_path,
+                lambda handle: write_json(handle, payload))
 
     def _validate_manifest(self) -> None:
-        try:
-            manifest = json.loads(
-                self.manifest_path.read_text(encoding="utf-8")
-            )
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise CampaignError(
-                f"checkpoint manifest {self.manifest_path} is corrupt: "
-                f"{error}"
-            ) from error
+        manifest = self._manifest or _read_manifest(self.manifest_path)
         if manifest.get("version") != MANIFEST_VERSION:
             raise CampaignError(
                 f"checkpoint manifest {self.manifest_path}: version "
@@ -236,15 +245,14 @@ class CheckpointStore:
                     ) from error
         return completed
 
-    def completed_indices(self) -> List[int]:
-        """Workload indices whose every shard is checkpointed on disk."""
-        return sorted(
-            index for index in range(len(self.workload_names))
-            if all(
-                self.unit_path(index, shard).exists()
-                for shard in range(self.n_shards)
-            )
-        )
+
+def _read_manifest(path: Path, required: tuple = ()) -> dict:
+    """A manifest as written by :meth:`CheckpointStore.open`; an
+    unreadable one is a :class:`CampaignError` naming the path."""
+    from repro.io import read_json
+
+    return read_json(path, "checkpoint manifest", required,
+                     error=CampaignError)
 
 
 def observation_key(observation: Optional[object]) -> str:

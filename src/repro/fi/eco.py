@@ -45,8 +45,6 @@ two designs resolve to different observation policies.
 
 from __future__ import annotations
 
-import json
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -78,7 +76,12 @@ from repro.fi.faults import Fault, full_fault_universe
 from repro.netlist.diff import NetlistDiff, diff_netlists
 from repro.netlist.netlist import Netlist
 from repro.sim.waveform import Workload
-from repro.utils.errors import EcoError
+from repro.utils.errors import (
+    CampaignError,
+    CorruptArtifactError,
+    EcoError,
+    SerializationError,
+)
 
 PathLike = Union[str, Path]
 
@@ -86,28 +89,16 @@ PathLike = Union[str, Path]
 # ----------------------------------------------------------------------
 # CSR cone closures
 # ----------------------------------------------------------------------
-def _closure(indptr: np.ndarray, indices: np.ndarray,
-             seeds: Iterable[int], n_gates: int) -> np.ndarray:
-    """Reachable-set BFS over one CSR direction (the ``hop_levels``
-    frontier-gather pattern): bool mask of every gate reachable from
-    ``seeds``, seeds included."""
+def _closure(gather, seeds: Iterable[int], n_gates: int) -> np.ndarray:
+    """Reachable-set BFS over one CSR direction (``gather`` is
+    :meth:`~repro.netlist.netlist.GateAdjacency.fanout_rows` or
+    ``fanin_rows``): bool mask of every gate reachable from ``seeds``,
+    seeds included."""
     reached = np.zeros(n_gates, dtype=bool)
     frontier = np.unique(np.fromiter(seeds, dtype=np.int64))
-    if frontier.size == 0:
-        return reached
     reached[frontier] = True
     while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # Gather all frontier rows' neighbours in one vectorized shot.
-        row_offset = np.repeat(np.cumsum(counts) - counts, counts)
-        gather = np.repeat(starts, counts) + (
-            np.arange(total) - row_offset
-        )
-        neighbours = indices[gather]
+        neighbours = gather(frontier)
         fresh = np.unique(neighbours[~reached[neighbours]])
         reached[fresh] = True
         frontier = fresh
@@ -116,16 +107,14 @@ def _closure(indptr: np.ndarray, indices: np.ndarray,
 
 def _forward_closure(netlist: Netlist,
                      seeds: Iterable[int]) -> np.ndarray:
-    adjacency = netlist.gate_adjacency()
-    return _closure(adjacency.fanout_indptr, adjacency.fanout_indices,
-                    seeds, netlist.n_gates)
+    return _closure(netlist.gate_adjacency().fanout_rows, seeds,
+                    netlist.n_gates)
 
 
 def _backward_closure(netlist: Netlist,
                       seeds: Iterable[int]) -> np.ndarray:
-    adjacency = netlist.gate_adjacency()
-    return _closure(adjacency.fanin_indptr, adjacency.fanin_indices,
-                    seeds, netlist.n_gates)
+    return _closure(netlist.gate_adjacency().fanin_rows, seeds,
+                    netlist.n_gates)
 
 
 # ----------------------------------------------------------------------
@@ -677,7 +666,11 @@ class EcoTraces:
         ]
 
     def save(self, path: PathLike) -> None:
-        payload: Dict[str, np.ndarray] = {
+        """Publish the sidecar atomically (a bare name gains ``.npz``):
+        an interrupted save leaves no file, never a torn one."""
+        from repro.io import npz_path, publish, write_archive
+
+        arrays: Dict[str, np.ndarray] = {
             "fingerprint": np.array(self.fingerprint),
             "netlist_name": np.array(self.netlist_name),
             "workload_names": np.array(self.workload_names, dtype="U"),
@@ -687,82 +680,62 @@ class EcoTraces:
             "fault_stuck": np.asarray(self.fault_stuck, dtype=np.int8),
         }
         for row, array in enumerate(self.output_diff):
-            payload[f"output_diff_{row}"] = array
+            arrays[f"output_diff_{row}"] = array
         for row, array in enumerate(self.flop_end_diff):
-            payload[f"flop_end_diff_{row}"] = array
+            arrays[f"flop_end_diff_{row}"] = array
         # Uncompressed on purpose: the sidecar is read on every ECO
         # run and zlib decompression would dominate the warm path.
-        np.savez(str(path), **payload)
+        publish(npz_path(path), lambda handle: write_archive(
+            handle, arrays, compress=False,
+        ))
 
     @classmethod
     def load(cls, path: PathLike) -> "EcoTraces":
+        """Read a sidecar written by :meth:`save`.  Damaged bytes, and
+        arrays that disagree with the name lists (lane words, output
+        and flop counts), are refused before any lane lookup can index
+        past them."""
+        from repro.io import open_archive
+
         try:
-            with np.load(str(path)) as archive:
-                workload_names = [
-                    str(name) for name in archive["workload_names"]
-                ]
-                traces = cls(
-                    fingerprint=str(archive["fingerprint"]),
-                    netlist_name=str(archive["netlist_name"]),
+            with open_archive(path, "ECO trace sidecar") as archive:
+                def names(key: str) -> List[str]:
+                    return [str(name) for name in archive.array(key, "U")]
+
+                workload_names = names("workload_names")
+                output_names = names("output_names")
+                flop_names = names("flop_names")
+                fault_nodes = names("fault_nodes")
+                n_words = (len(fault_nodes) + 64) // 64
+                return cls(
+                    fingerprint=str(archive.array("fingerprint", "U")),
+                    netlist_name=str(archive.array("netlist_name", "U")),
                     workload_names=workload_names,
-                    output_names=[
-                        str(name) for name in archive["output_names"]
-                    ],
-                    flop_names=[
-                        str(name) for name in archive["flop_names"]
-                    ],
-                    fault_nodes=[
-                        str(name) for name in archive["fault_nodes"]
-                    ],
-                    fault_stuck=archive["fault_stuck"],
+                    output_names=output_names,
+                    flop_names=flop_names,
+                    fault_nodes=fault_nodes,
+                    fault_stuck=archive.array("fault_stuck", "i",
+                                              (len(fault_nodes),)),
                     output_diff=[
-                        archive[f"output_diff_{row}"]
+                        archive.array(f"output_diff_{row}", "u",
+                                      (None, len(output_names), n_words))
                         for row in range(len(workload_names))
                     ],
                     flop_end_diff=[
-                        archive[f"flop_end_diff_{row}"]
+                        archive.array(f"flop_end_diff_{row}", "u",
+                                      (len(flop_names), n_words))
                         for row in range(len(workload_names))
                     ],
                 )
-        except (KeyError, ValueError, OSError, zipfile.BadZipFile
-               ) as error:
+        except (CorruptArtifactError, OSError) as error:
             raise EcoError(
                 f"ECO trace sidecar {path} is corrupt or truncated: "
                 f"{error}"
             ) from error
-        traces._check_shapes(path)
-        return traces
-
-    def _check_shapes(self, path: PathLike) -> None:
-        """Refuse a sidecar whose arrays disagree with its name lists
-        (lane words, output and flop counts), before any lane lookup
-        can index past them."""
-        n_words = (len(self.fault_nodes) + 64) // 64
-        problems = []
-        if len(self.fault_stuck) != len(self.fault_nodes):
-            problems.append(
-                f"{len(self.fault_stuck)} stuck values for "
-                f"{len(self.fault_nodes)} faults"
-            )
-        for row, (outputs, flops) in enumerate(
-            zip(self.output_diff, self.flop_end_diff)
-        ):
-            if outputs.shape[1:] != (len(self.output_names), n_words):
-                problems.append(
-                    f"output_diff_{row} has shape {outputs.shape}, "
-                    f"expected (cycles, {len(self.output_names)}, "
-                    f"{n_words})"
-                )
-            if flops.shape != (len(self.flop_names), n_words):
-                problems.append(
-                    f"flop_end_diff_{row} has shape {flops.shape}, "
-                    f"expected ({len(self.flop_names)}, {n_words})"
-                )
-        if problems:
+        except SerializationError as error:
             raise EcoError(
-                f"ECO trace sidecar {path} is inconsistent: "
-                + "; ".join(problems)
-            )
+                f"ECO trace sidecar {path} is inconsistent: {error}"
+            ) from error
 
 
 def run_campaign_with_traces(
@@ -1119,20 +1092,15 @@ def _load_base_from_store(
     """
     from repro.fi.collapse import collapse_faults, expand_shard
 
-    manifest_path = Path(directory) / MANIFEST_NAME
-    if not manifest_path.exists():
+    if not (Path(directory) / MANIFEST_NAME).exists():
         raise EcoError(
             f"base checkpoint directory {directory} has no "
             f"{MANIFEST_NAME} — nothing to reuse"
         )
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise EcoError(
-            f"base checkpoint manifest {manifest_path} is corrupt: "
-            f"{error}"
-        ) from error
-    stored_fingerprint = manifest.get("fingerprint")
+        store = CheckpointStore.from_manifest(directory)
+    except CampaignError as error:
+        raise EcoError(f"cannot reuse the base store: {error}") from error
 
     universe = full_fault_universe(old)
     collapsed = collapse_faults(old, universe)
@@ -1146,7 +1114,7 @@ def _load_base_from_store(
             old.name, workloads, simulated, severity_old,
             collapse_flag, observation_key_old,
         )
-        if fingerprint == stored_fingerprint:
+        if fingerprint == store.fingerprint:
             matched = collapse_flag
             break
     if matched is None:
@@ -1156,20 +1124,6 @@ def _load_base_from_store(
             "or observation policy changed) — refusing to merge"
         )
 
-    simulated = candidates[matched]
-    store = CheckpointStore(
-        directory,
-        fingerprint=stored_fingerprint,
-        netlist_name=old.name,
-        workload_names=[w.name for w in workloads],
-        n_faults=len(simulated),
-        shard_bounds=[
-            (int(lo), int(hi))
-            for lo, hi in manifest.get(
-                "shards", [[0, len(simulated)]]
-            )
-        ],
-    )
     completed = store.open(resume=True)
     missing = [
         (row, shard)

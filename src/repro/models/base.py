@@ -9,7 +9,7 @@ information".
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+from typing import Dict, Type
 
 import numpy as np
 
@@ -35,11 +35,6 @@ class BaseClassifier:
     def score(self, x: np.ndarray, y: np.ndarray) -> float:
         """Accuracy on ``(x, y)``."""
         return float((self.predict(x) == np.asarray(y)).mean())
-
-    @staticmethod
-    def _check_fitted(flag: bool) -> None:
-        if not flag:
-            raise ModelError("predict before fit")
 
     @staticmethod
     def _check_training_data(x: np.ndarray, y: np.ndarray) -> None:

@@ -19,7 +19,7 @@ sequence from the all-X state and report any net still unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.netlist.netlist import Netlist
 from repro.utils.errors import SimulationError
@@ -30,14 +30,6 @@ ONE = (False, True)
 X = (True, True)
 
 XValue = Tuple[bool, bool]
-
-
-def _label(value: XValue) -> str:
-    if value == ZERO:
-        return "0"
-    if value == ONE:
-        return "1"
-    return "X"
 
 
 class XSimulator:

@@ -26,35 +26,13 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.store import keys as K
 from repro.store.store import ArtifactStore
 from repro.utils.errors import EcoError, ReproError, SerializationError
 
 logger = logging.getLogger("repro.store")
-
-
-def _write_json(payload: dict) -> Callable:
-    import json
-
-    def writer(path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-
-    return writer
-
-
-def _read_json(path) -> dict:
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise SerializationError(
-            f"store JSON artifact {path}: top level must be an object"
-        )
-    return payload
 
 
 def _resolve_policy(netlist, severity) -> tuple:
@@ -357,18 +335,15 @@ class AnalysisMemo:
         )
 
     def dataset(self, compute: Callable):
-        from repro.io import load_dataset
-        from repro.io import save_dataset as _save
+        from repro.io import load_dataset, save_dataset
 
-        def writer_for(value):
-            def writer(path) -> None:
-                _save(value, path)
-
-            return writer
-
-        return self._stage(self.dataset_key(), "dataset", compute,
-                           reader=load_dataset,
-                           make_writer=writer_for)
+        return self._stage(
+            self.dataset_key(), "dataset", compute,
+            reader=load_dataset,
+            make_writer=lambda value: (
+                lambda path: save_dataset(value, path)
+            ),
+        )
 
     def data(self, compute: Callable):
         from repro.io import load_graph_data, save_graph_data
@@ -433,6 +408,7 @@ class AnalysisMemo:
     def gridsearch(self, *, hidden_dim_options, dropout_options,
                    lr_options, epochs: int, fast_math: bool,
                    compute: Callable):
+        from repro.io import read_json, write_json
         from repro.nn.gridsearch import GridPoint, GridSearchResult
 
         key = K.gridsearch_key(
@@ -445,7 +421,7 @@ class AnalysisMemo:
         )
 
         def reader(path) -> GridSearchResult:
-            payload = _read_json(path)
+            payload = read_json(path, "store JSON artifact", ("points",))
             return GridSearchResult(points=[
                 GridPoint(
                     hidden_dims=tuple(
@@ -460,18 +436,20 @@ class AnalysisMemo:
             ])
 
         def make_writer(value: GridSearchResult):
-            return _write_json({"points": [
+            return lambda path: write_json(path, {"points": [
                 {"hidden_dims": list(point.hidden_dims),
                  "dropout": point.dropout, "lr": point.lr,
                  "val_accuracy": point.val_accuracy,
                  "best_epoch": point.best_epoch}
                 for point in value.points
-            ]})
+            ]}, sort_keys=True)
 
         return self._stage(key, "gridsearch", compute, reader=reader,
                            make_writer=make_writer)
 
     def baselines(self, names: Sequence[str], compute: Callable):
+        from repro.io import read_json, write_json
+
         key = K.baselines_key(
             self.graph_key(), names=names,
             seed=self.analyzer.config.seed,
@@ -479,17 +457,20 @@ class AnalysisMemo:
         )
 
         def reader(path) -> dict:
-            payload = _read_json(path)
-            accuracies = payload["accuracies"]
+            accuracies = read_json(path, "store JSON artifact",
+                                   ("accuracies",))["accuracies"]
             if set(accuracies) != set(names):
                 raise SerializationError(
-                    "baseline artifact names drifted from request"
+                    f"store JSON artifact {path}: baseline names "
+                    "drifted from the request"
                 )
             # Rebuild in request order (canonical JSON sorts keys).
             return {name: float(accuracies[name]) for name in names}
 
         def make_writer(value: dict):
-            return _write_json({"accuracies": dict(value)})
+            return lambda path: write_json(
+                path, {"accuracies": dict(value)}, sort_keys=True,
+            )
 
         return self._stage(key, "baselines", compute, reader=reader,
                            make_writer=make_writer)

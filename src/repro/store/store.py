@@ -46,7 +46,7 @@ import zipfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.io import atomic_write_text, durable_replace, fsync_directory
+from repro.io import atomic_write_text, durable_replace, fsync_file
 from repro.utils.errors import ReproError, SerializationError
 
 PathLike = Union[str, Path]
@@ -202,11 +202,7 @@ class ArtifactStore:
         )
         try:
             writer(temporary)
-            descriptor = os.open(str(temporary), os.O_RDONLY)
-            try:
-                os.fsync(descriptor)
-            finally:
-                os.close(descriptor)
+            fsync_file(temporary)
             # Size and hash the bytes this process wrote, before the
             # rename and outside the lock.
             size = temporary.stat().st_size
