@@ -7,8 +7,15 @@ simulation it protects; this benchmark measures, per design, the
 wall-clock of a plain campaign vs a checkpointed one vs a checkpoint
 resume (which skips all simulation), and the bytes a checkpoint store
 occupies on disk.
+
+The campaigns take tens of milliseconds, so one timing of each says
+more about the host than about checkpointing.  Every configuration
+runs REPEATS times, interleaved (plain and checkpointed swap places
+each round, and each resume reads the store its round just wrote), and
+the table and the bars compare medians.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -20,6 +27,13 @@ from repro.sim import design_workloads
 
 WORKLOADS = 8
 CYCLES = 150
+REPEATS = 7
+
+
+def _timed(function):
+    started = time.perf_counter()
+    result = function()
+    return result, time.perf_counter() - started
 
 
 def test_checkpoint_overhead(benchmark, artifact, tmp_path_factory):
@@ -30,43 +44,53 @@ def test_checkpoint_overhead(benchmark, artifact, tmp_path_factory):
     rows = []
 
     def run():
+        suites = {}
         for design_name in DESIGNS:
             design = build_design(short[design_name])
-            workloads = design_workloads(design.name, design,
-                                         count=WORKLOADS,
-                                         cycles=CYCLES, seed=0)
-            store = tmp_path_factory.mktemp(f"ckpt_{design_name}")
-
-            started = time.perf_counter()
-            plain = run_campaign(design, workloads)
-            plain_seconds = time.perf_counter() - started
-
-            started = time.perf_counter()
-            checkpointed = run_campaign(design, workloads,
-                                        checkpoint_dir=store)
-            checkpointed_seconds = time.perf_counter() - started
-
-            started = time.perf_counter()
-            resumed = run_campaign(design, workloads,
-                                   checkpoint_dir=store, resume=True)
-            resume_seconds = time.perf_counter() - started
-
-            assert np.array_equal(plain.error_cycles,
-                                  resumed.error_cycles)
-            store_bytes = sum(
-                path.stat().st_size for path in store.iterdir()
-            )
-            overhead = checkpointed_seconds / plain_seconds - 1.0
+            suites[design_name] = (design, design_workloads(
+                design.name, design, count=WORKLOADS, cycles=CYCLES,
+                seed=0))
+        seconds = {name: {"plain": [], "checkpointed": [], "resume": []}
+                   for name in DESIGNS}
+        store_bytes = {}
+        for repeat in range(REPEATS):
+            for design_name, (design, workloads) in suites.items():
+                store = tmp_path_factory.mktemp(f"ckpt_{design_name}")
+                runs = {
+                    "plain": lambda: run_campaign(design, workloads),
+                    "checkpointed": lambda: run_campaign(
+                        design, workloads, checkpoint_dir=store),
+                }
+                order = (["plain", "checkpointed"] if repeat % 2 == 0
+                         else ["checkpointed", "plain"])
+                results = {}
+                for kind in order:
+                    results[kind], elapsed = _timed(runs[kind])
+                    seconds[design_name][kind].append(elapsed)
+                resumed, elapsed = _timed(lambda: run_campaign(
+                    design, workloads, checkpoint_dir=store,
+                    resume=True))
+                seconds[design_name]["resume"].append(elapsed)
+                assert np.array_equal(results["plain"].error_cycles,
+                                      resumed.error_cycles)
+                store_bytes[design_name] = sum(
+                    path.stat().st_size for path in store.iterdir()
+                )
+        for design_name in DESIGNS:
+            median = {kind: statistics.median(values) for kind, values
+                      in seconds[design_name].items()}
             rows.append({
                 "design": design_name,
-                "plain s": round(plain_seconds, 2),
-                "checkpointed s": round(checkpointed_seconds, 2),
-                "overhead": f"{overhead:+.1%}",
-                "resume s": round(resume_seconds, 3),
-                "resume speedup": (
-                    f"{plain_seconds / resume_seconds:,.0f}x"
+                "plain ms": round(median["plain"] * 1e3, 1),
+                "checkpointed ms": round(median["checkpointed"] * 1e3, 1),
+                "overhead": (
+                    f"{median['checkpointed'] / median['plain'] - 1:+.1%}"
                 ),
-                "store KiB": round(store_bytes / 1024, 1),
+                "resume ms": round(median["resume"] * 1e3, 1),
+                "resume speedup": (
+                    f"{median['plain'] / median['resume']:,.0f}x"
+                ),
+                "store KiB": round(store_bytes[design_name] / 1024, 1),
             })
         return rows
 
@@ -76,12 +100,13 @@ def test_checkpoint_overhead(benchmark, artifact, tmp_path_factory):
         rows,
         title="Campaign checkpoint overhead "
               f"({WORKLOADS} workloads x {CYCLES} cycles, "
-              "full fault universe)",
+              f"full fault universe; medians of {REPEATS} interleaved "
+              "runs)",
     )
     artifact("checkpoint_overhead.txt", table)
 
     # Shape: durability costs a small fraction of the simulation it
     # protects, and resuming a finished campaign is pure I/O.
     for row in rows:
-        assert row["checkpointed s"] < row["plain s"] * 1.5
-        assert row["resume s"] < row["plain s"]
+        assert row["checkpointed ms"] < row["plain ms"] * 1.5
+        assert row["resume ms"] < row["plain ms"]

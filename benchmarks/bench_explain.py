@@ -59,8 +59,10 @@ def _build_analyzer():
     from repro import build_design
     from repro.core import AnalyzerConfig, FaultCriticalityAnalyzer
 
+    # Only the classifier is used: with more jobs the regressor would
+    # train beside it for nothing.
     analyzer = FaultCriticalityAnalyzer(
-        build_design(DESIGN), AnalyzerConfig(seed=0)
+        build_design(DESIGN), AnalyzerConfig(seed=0), jobs=1
     )
     analyzer.classifier  # materialize the expensive stages untimed
     return analyzer

@@ -86,10 +86,13 @@ def run_benchmark(grid=GRID):
 
     start_rss = _peak_rss_mib()
     netlist = stage("netlist", lambda: build_fsm_grid(*grid))
+    # One process: ``ru_maxrss`` of this interpreter must see every
+    # stage, and each stage must train only what it names.
     analyzer = FaultCriticalityAnalyzer(
         netlist,
         AnalyzerConfig(n_workloads=WORKLOADS, workload_cycles=CYCLES,
                        seed=0),
+        jobs=1,
     )
     stage("workloads", lambda: analyzer.workloads)
     stage("campaign", lambda: analyzer.campaign)

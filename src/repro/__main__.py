@@ -32,6 +32,12 @@ from repro.reporting import bar_chart, render_table
 
 DESIGN_CHOICES = ("sdram", "or1200_if", "or1200_icfsm", "uart")
 
+JOBS_HELP = ("worker processes for every stage (0 = all cores).  "
+             "Default: the GCN heads, the baselines and the explainer "
+             "run on every usable CPU, the FI campaign (and any ECO "
+             "re-simulation) in one process.  Results are bitwise "
+             "identical to --jobs 1")
+
 
 def _parse_shard_size(text: str):
     """``--shard-size`` values: a fault count, or ``auto``."""
@@ -91,7 +97,8 @@ def _make_analyzer(args) -> FaultCriticalityAnalyzer:
         workload_cycles=args.cycles,
     )
     return FaultCriticalityAnalyzer(build_design(args.design), config,
-                                    store=_open_store(args))
+                                    store=_open_store(args),
+                                    jobs=getattr(args, "jobs", None))
 
 
 def cmd_designs(_args) -> int:
@@ -133,7 +140,6 @@ def cmd_analyze(args) -> int:
         try:
             update = analyzer.eco_update(
                 edited, base_checkpoint_dir=args.base_checkpoint_dir,
-                jobs=args.jobs,
             )
         except EcoError as error:
             print(f"error: cannot reuse baseline incrementally: "
@@ -161,8 +167,7 @@ def cmd_analyze(args) -> int:
         print(f"\nGNNExplainer sample ({len(nodes)} held-out nodes, "
               "both predicted classes):")
         for report in analyzer.node_report(
-                nodes, jobs=args.jobs,
-                max_worker_restarts=args.max_worker_restarts,
+                nodes, max_worker_restarts=args.max_worker_restarts,
                 heartbeat_interval=args.heartbeat_interval):
             print(render_table([report.as_row()],
                                title=f"Node {report.node_name}"))
@@ -287,8 +292,7 @@ def cmd_explain(args) -> int:
     if args.batch_size is not None:
         analyzer.explainer.batch_size = args.batch_size
     reports = analyzer.node_report(
-        nodes, jobs=args.jobs,
-        max_worker_restarts=args.max_worker_restarts,
+        nodes, max_worker_restarts=args.max_worker_restarts,
         heartbeat_interval=args.heartbeat_interval,
     )
     for report in reports:
@@ -471,10 +475,8 @@ def main(argv=None) -> int:
                          help="also explain a deterministic sample of "
                               "up to N Critical and N Non-critical "
                               "held-out nodes (0 = skip)")
-    analyze.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker processes for the explainer "
-                              "fan-out (0 = all cores; results are "
-                              "identical to --jobs 1)")
+    analyze.add_argument("--jobs", type=int, default=None, metavar="N",
+                         help=JOBS_HELP)
     analyze.add_argument("--eco", metavar="EDITED.v",
                          help="incremental re-analysis: diff the "
                               "design against this edited netlist, "
@@ -553,10 +555,8 @@ def main(argv=None) -> int:
                          help="node names (default: a deterministic "
                               "sample of held-out nodes covering both "
                               "predicted classes)")
-    explain.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker processes for explanation "
-                              "batches (0 = all cores; results are "
-                              "bitwise identical to --jobs 1)")
+    explain.add_argument("--jobs", type=int, default=None, metavar="N",
+                         help=JOBS_HELP)
     explain.add_argument("--batch-size", type=int, default=None,
                          metavar="K",
                          help="nodes per block-diagonal optimization "
@@ -621,6 +621,9 @@ def main(argv=None) -> int:
     harden.add_argument("--budget", type=int, default=16,
                         help="number of nodes to harden")
     harden.add_argument("--out", metavar="FILE.v")
+    # harden reads only the regressor: with more jobs the classifier
+    # would train beside it for nothing.
+    harden.set_defaults(jobs=1)
 
     args = parser.parse_args(argv)
     handler = {

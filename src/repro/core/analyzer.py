@@ -11,10 +11,17 @@
 
 Each stage is lazily computed and cached, so callers can run only what
 they need (e.g. ``analyzer.classifier`` without ever explaining).
+
+The model stages consume one graph independently: the two GCN heads,
+the five baselines and the explainer's batches.  With more than one
+job (the default on a multi-core host) each runs its units on the
+supervised fork :class:`~repro.utils.workerpool.WorkerPool`; every
+value returned, stored or printed is bitwise identical to ``jobs=1``.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -54,7 +61,14 @@ from repro.models import (
 from repro.netlist.netlist import Netlist
 from repro.sim import Workload, design_workloads
 from repro.utils.errors import ModelError
+from repro.utils.parallel import default_jobs, resolve_jobs
 from repro.utils.rng import derive_rng
+from repro.utils.workerpool import PoolPolicy, map_supervised
+
+logger = logging.getLogger("repro.core")
+
+#: The GCN heads an analyzer trains, by attribute name.
+_HEADS = ("classifier", "regressor")
 
 
 @dataclass
@@ -151,15 +165,27 @@ class EcoAnalysis:
 
 
 class FaultCriticalityAnalyzer:
-    """The framework's main entry point for one design."""
+    """The framework's main entry point for one design.
+
+    ``jobs`` is the worker-process count (``0`` = all cores).  Left
+    ``None``, the model stages use every usable CPU (one process where
+    a pool cannot run, see :func:`~repro.utils.parallel.default_jobs`)
+    while the campaign and the ECO re-simulation stay in-process:
+    their units at these sizes cost less than a pool's fork.  A given
+    ``jobs`` applies to every stage.  Results never depend on it.
+    """
 
     def __init__(self, netlist: Netlist,
                  config: Optional[AnalyzerConfig] = None,
                  workloads: Optional[Sequence[Workload]] = None,
-                 store=None):
+                 store=None, jobs: Optional[int] = None):
         self.netlist = netlist
         self.config = config or AnalyzerConfig()
         self.store = store
+        #: Worker processes for the GCN heads, baselines and explainer.
+        self.jobs = default_jobs() if jobs is None else resolve_jobs(jobs)
+        #: Worker processes for the campaign and ECO re-simulation.
+        self.fi_jobs = 1 if jobs is None else jobs
         self._memo = None
         self._workloads: Optional[List[Workload]] = (
             list(workloads) if workloads is not None else None
@@ -216,7 +242,7 @@ class FaultCriticalityAnalyzer:
                 "campaign",
                 lambda: run_campaign(
                     self.netlist, self.workloads,
-                    severity=self.config.severity,
+                    severity=self.config.severity, jobs=self.fi_jobs,
                 ),
             )
         return self._campaign
@@ -277,37 +303,100 @@ class FaultCriticalityAnalyzer:
     def classifier(self) -> GCNClassifier:
         """The trained Table 1 GCN classifier."""
         if self._classifier is None:
-            def train() -> GCNClassifier:
-                model = GCNClassifier(
-                    hidden_dims=self.config.hidden_dims,
-                    dropout=self.config.dropout,
-                    adjacency_mode=self.config.adjacency_mode,
-                    self_loops=self.config.self_loops,
-                    seed=(self.config.seed, "gcn"),
-                    config=self.config.training,
-                )
-                return model.fit(self.data, self.split)
-
-            self._classifier = self._memoized("classifier", train)
+            self._fit_heads("classifier")
         return self._classifier
 
     @property
     def regressor(self) -> GCNRegressor:
         """The trained criticality-score regressor (§3.4)."""
         if self._regressor is None:
-            def train() -> GCNRegressor:
-                model = GCNRegressor(
-                    hidden_dims=self.config.hidden_dims,
-                    dropout=self.config.dropout,
-                    adjacency_mode=self.config.adjacency_mode,
-                    self_loops=self.config.self_loops,
-                    seed=(self.config.seed, "gcn-regressor"),
-                    config=self.config.regressor_training,
-                )
-                return model.fit(self.data, self.split)
-
-            self._regressor = self._memoized("regressor", train)
+            self._fit_heads("regressor")
         return self._regressor
+
+    def _new_head(self, head: str):
+        """The untrained GCN head ``head`` this configuration fits."""
+        config = self.config
+        architecture = dict(
+            hidden_dims=config.hidden_dims, dropout=config.dropout,
+            adjacency_mode=config.adjacency_mode,
+            self_loops=config.self_loops,
+        )
+        if head == "classifier":
+            return GCNClassifier(**architecture,
+                                 seed=(config.seed, "gcn"),
+                                 config=config.training)
+        return GCNRegressor(**architecture,
+                            seed=(config.seed, "gcn-regressor"),
+                            config=config.regressor_training)
+
+    def _fit_heads(self, requested: str) -> None:
+        """Read ``requested`` from the store, or train it.
+
+        On a miss with more than one job, the other head trains beside
+        it when this analyzer does not hold it yet and it misses the
+        store too, one pool unit per head: ``analyze``, ``explain``,
+        ``node_report`` and ``eco_update`` use both, and the pair
+        takes about the longer head's time instead of the sum.  A
+        caller that uses one head pays for the other (CPU, and wall
+        time when the other is the longer; ``docs/performance.md``);
+        ``jobs=1`` trains only what is asked for.  The worker returns
+        weights and history, and the parent restores the model as the
+        store's reader does.  Only the requested head's failure
+        raises; the other head's is logged and leaves it untrained, so
+        a request for it trains it again.  A run whose heads all hit
+        the store forks nothing.
+        """
+        memo = self.memo
+        others = [head for head in _HEADS
+                  if self.jobs > 1 and head != requested
+                  and getattr(self, f"_{head}") is None]
+        missing = {}
+        for head in [requested] + others:
+            model = self._new_head(head)
+            stored = (memo.head(head, model) if memo is not None
+                      else None)
+            if stored is None:
+                missing[head] = model
+                continue
+            setattr(self, f"_{head}", stored)
+            if head == requested:
+                return
+
+        data, split = self.data, self.split
+        # Forked workers inherit the propagation matrix instead of
+        # each building its own.
+        data.a_norm(self.config.adjacency_mode, self.config.self_loops)
+
+        def train(head: str):
+            model = missing[head].fit(data, split)
+            return ([parameter.value
+                     for parameter in model.model.parameters()],
+                    model.history)
+
+        trained = map_supervised(train, list(missing),
+                                 PoolPolicy(jobs=self.jobs),
+                                 lambda head: f"GCN {head} training",
+                                 return_errors=True)
+        failure = None
+        for (head, model), outcome in zip(missing.items(), trained):
+            if isinstance(outcome, Exception):
+                if head == requested:
+                    failure = outcome
+                else:
+                    logger.warning("GCN %s trained beside the %s is not "
+                                   "kept, and trains again when "
+                                   "requested: %s", head, requested,
+                                   outcome)
+                continue
+            weights, history = outcome
+            if model.model is None:  # trained in a pool worker
+                model.restore(data, weights)
+                model.history = history
+            if memo is not None:
+                memo.put_head(head, model)
+            setattr(self, f"_{head}", model)
+        if failure is not None:
+            raise failure
 
     def grid_search(
         self,
@@ -428,17 +517,9 @@ class FaultCriticalityAnalyzer:
     ) -> Dict[str, float]:
         """Validation accuracy of each baseline classifier."""
         def compute() -> Dict[str, float]:
-            data, split = self.data, self.split
-            results: Dict[str, float] = {}
-            for name in names:
-                model = make_classifier(name)
-                model.fit(data.x[split.train_mask],
-                          data.y_class[split.train_mask])
-                results[name] = model.score(
-                    data.x[split.val_mask],
-                    data.y_class[split.val_mask],
-                )
-            return results
+            return self._fit_baselines(
+                names, lambda model, x, y: model.score(x, y)
+            )
 
         memo = self.memo
         if memo is None:
@@ -449,17 +530,27 @@ class FaultCriticalityAnalyzer:
         self, names: Sequence[str] = BASELINE_NAMES
     ) -> Dict[str, RocCurve]:
         """Validation ROC curves of each baseline (Figure 4)."""
+        return self._fit_baselines(
+            names,
+            lambda model, x, y: roc_curve(y, model.predict_proba(x)[:, 1]),
+        )
+
+    def _fit_baselines(self, names: Sequence[str], measure) -> Dict:
+        """``measure(model, x_val, y_val)`` of each baseline fitted on
+        the training fold, one pool unit per baseline."""
         data, split = self.data, self.split
-        curves: Dict[str, RocCurve] = {}
-        for name in names:
+
+        def fit(name: str):
             model = make_classifier(name)
             model.fit(data.x[split.train_mask],
                       data.y_class[split.train_mask])
-            scores = model.predict_proba(data.x[split.val_mask])[:, 1]
-            curves[name] = roc_curve(
-                data.y_class[split.val_mask], scores
-            )
-        return curves
+            return measure(model, data.x[split.val_mask],
+                           data.y_class[split.val_mask])
+
+        names = list(names)
+        return dict(zip(names, map_supervised(
+            fit, names, PoolPolicy(jobs=self.jobs),
+            lambda name: f"baseline {name}")))
 
     def regression_quality(self) -> Dict[str, float]:
         """Score-prediction metrics on held-out nodes, including the
@@ -481,7 +572,7 @@ class FaultCriticalityAnalyzer:
         }
 
     def explain_nodes(self, nodes: Sequence["str | int"],
-                      jobs: int = 1,
+                      jobs: Optional[int] = None,
                       batch_size: Optional[int] = None,
                       max_worker_restarts: int = 8,
                       heartbeat_interval: float = 5.0,
@@ -489,7 +580,8 @@ class FaultCriticalityAnalyzer:
         """Per-node GNNExplainer interpretations.
 
         ``jobs`` fans the explainer's block-diagonal batches out over
-        the supervised fork worker pool (0 = all cores);
+        the supervised fork worker pool (0 = all cores; default: the
+        analyzer's);
         ``batch_size`` caps nodes per batch; ``max_worker_restarts``
         and ``heartbeat_interval`` tune the pool's crash supervision.
         Results are identical for every combination, so none of those
@@ -497,7 +589,8 @@ class FaultCriticalityAnalyzer:
         """
         def compute() -> List[Explanation]:
             return self.explainer.explain_many(
-                nodes, jobs=jobs, batch_size=batch_size,
+                nodes, jobs=self.jobs if jobs is None else jobs,
+                batch_size=batch_size,
                 max_worker_restarts=max_worker_restarts,
                 heartbeat_interval=heartbeat_interval,
             )
@@ -532,22 +625,17 @@ class FaultCriticalityAnalyzer:
             chosen.extend(int(node) for node in pool)
         return chosen
 
-    def global_importance(
-        self, sample: int = 40, jobs: int = 1
-    ) -> GlobalImportance:
+    def global_importance(self, sample: int = 40) -> GlobalImportance:
         """Aggregated feature importance over ``sample`` held-out nodes
         (Eq. 3 / Figure 5b)."""
         candidates = np.flatnonzero(self.split.val_mask)
         rng = np.random.default_rng(self.config.seed)
         if len(candidates) > sample:
             candidates = rng.choice(candidates, sample, replace=False)
-        explanations = self.explain_nodes(
-            [int(c) for c in candidates], jobs=jobs
-        )
+        explanations = self.explain_nodes([int(c) for c in candidates])
         return aggregate_importance(explanations)
 
     def node_report(self, nodes: Sequence["str | int"],
-                    jobs: int = 1,
                     max_worker_restarts: int = 8,
                     heartbeat_interval: float = 5.0,
                     ) -> List[NodeReport]:
@@ -557,8 +645,7 @@ class FaultCriticalityAnalyzer:
         predictions = self.classifier.predict()
         scores = self.regressor.predict()
         explanations = self.explain_nodes(
-            nodes, jobs=jobs,
-            max_worker_restarts=max_worker_restarts,
+            nodes, max_worker_restarts=max_worker_restarts,
             heartbeat_interval=heartbeat_interval,
         )
         reports: List[NodeReport] = []
@@ -604,7 +691,6 @@ class FaultCriticalityAnalyzer:
     def eco_update(
         self, new_netlist: Netlist, *,
         base_checkpoint_dir: "Optional[str]" = None,
-        jobs: int = 1,
         shard_size: int = 0,
         checkpoint_dir: "Optional[str]" = None,
         resume: bool = False,
@@ -628,7 +714,8 @@ class FaultCriticalityAnalyzer:
         reuse a PR 1/3-style on-disk checkpoint store instead, in which
         case the baseline campaign is never simulated here.  Raises
         :class:`~repro.utils.errors.EcoError` when the baseline cannot
-        be soundly reused.
+        be soundly reused.  The re-simulation runs on the analyzer's
+        campaign ``jobs``.
         """
         from repro.fi.eco import _remap_workloads
 
@@ -637,7 +724,7 @@ class FaultCriticalityAnalyzer:
                 self.netlist, new_netlist, self.workloads,
                 base_checkpoint_dir=base_checkpoint_dir,
                 severity=self.config.severity,
-                jobs=jobs, shard_size=shard_size,
+                jobs=self.fi_jobs, shard_size=shard_size,
                 checkpoint_dir=checkpoint_dir, resume=resume,
                 timeout=timeout, retries=retries,
             )
@@ -646,7 +733,7 @@ class FaultCriticalityAnalyzer:
                 self.netlist, new_netlist, self.workloads,
                 base=self.campaign,
                 severity=self.config.severity,
-                jobs=jobs, shard_size=shard_size,
+                jobs=self.fi_jobs, shard_size=shard_size,
                 checkpoint_dir=checkpoint_dir, resume=resume,
                 timeout=timeout, retries=retries,
             )

@@ -19,7 +19,7 @@ continuous criticality scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,10 +87,83 @@ def build_gcn_stack(
     return Sequential(*modules)
 
 
-class GCNClassifier:
+class _GCNHead:
+    """What both heads share: the stack they build, prediction on a
+    bound graph, and binding trained weights to a graph."""
+
+    out_features: int
+    log_softmax: bool
+
+    def _build(self, data: GraphData) -> Sequential:
+        return build_gcn_stack(
+            data.n_features, self.out_features,
+            data.a_norm(self.adjacency_mode, self.self_loops),
+            hidden_dims=self.hidden_dims, dropout=self.dropout,
+            log_softmax=self.log_softmax, seed=self.seed, conv=self.conv,
+        )
+
+    def _require_fitted(self) -> Sequential:
+        if self.model is None:
+            raise ModelError("predict before fit")
+        return self.model
+
+    def restore(self, data: GraphData,
+                weights: Sequence[np.ndarray]) -> "_GCNHead":
+        """Bind trained ``weights`` (one array per parameter, in
+        order) to ``data``'s graph, ready to predict without training.
+
+        A head read from an archive, trained in a pool worker, or
+        transferred to another design comes back this way; its
+        predictions equal those of the model the weights came from.
+        """
+        model = self._build(data)
+        parameters = model.parameters()
+        if len(parameters) != len(weights):
+            raise ModelError(
+                "stored weights do not match the reconstructed "
+                "architecture"
+            )
+        for parameter, value in zip(parameters, weights):
+            if parameter.value.shape != value.shape:
+                raise ModelError(
+                    f"weight shape mismatch: {parameter.value.shape} "
+                    f"vs {value.shape} (was the model trained on "
+                    "different features?)"
+                )
+            parameter.value[:] = value
+        model.eval()
+        self.model = model
+        self._data = data
+        return self
+
+    def transfer_to(self, data: GraphData) -> "_GCNHead":
+        """Bind the trained weights to a *different* design's graph.
+
+        GCN weights are graph-independent (they act on features; the
+        propagation matrix is data), so a model trained on one design
+        can classify another — the cross-design transfer experiment.
+        The target must share the feature set.
+        """
+        parameters = self._require_fitted().parameters()
+        source_in = parameters[0].shape[0]
+        if data.n_features != source_in:
+            raise ModelError(
+                f"transfer target has {data.n_features} features, "
+                f"model was trained on {source_in}"
+            )
+        clone = copy.copy(self)
+        clone.history = None
+        return clone.restore(
+            data, [parameter.value for parameter in parameters]
+        )
+
+
+class GCNClassifier(_GCNHead):
     """Critical-node classifier (§3.3, Table 1 architecture)."""
 
     name = "GCN"
+    out_features = 2
+    log_softmax = True
 
     def __init__(
         self,
@@ -119,12 +192,7 @@ class GCNClassifier:
 
     def fit(self, data: GraphData, split: Split) -> "GCNClassifier":
         """Train transductively on the design graph's training fold."""
-        a_norm = data.a_norm(self.adjacency_mode, self.self_loops)
-        self.model = build_gcn_stack(
-            data.n_features, 2, a_norm,
-            hidden_dims=self.hidden_dims, dropout=self.dropout,
-            log_softmax=True, seed=self.seed, conv=self.conv,
-        )
+        self.model = self._build(data)
         self.history = train_classifier(
             self.model, data.x, data.y_class,
             split.train_mask, split.val_mask, self.config,
@@ -132,11 +200,6 @@ class GCNClassifier:
         )
         self._data = data
         return self
-
-    def _require_fitted(self) -> Sequential:
-        if self.model is None:
-            raise ModelError("predict before fit")
-        return self.model
 
     def log_probs(self, data: Optional[GraphData] = None) -> np.ndarray:
         """``(N, 2)`` log class probabilities for all nodes."""
@@ -162,42 +225,8 @@ class GCNClassifier:
             (predictions[mask] == data.y_class[mask]).mean()
         )
 
-    def transfer_to(self, data: GraphData) -> "GCNClassifier":
-        """Bind the trained weights to a *different* design's graph.
 
-        GCN weights are graph-independent (they act on features; the
-        propagation matrix is data), so a model trained on one design
-        can classify another — the cross-design transfer experiment.
-        The target must share the feature set.
-        """
-        self._require_fitted()
-        source_in = self.model.parameters()[0].shape[0]
-        if data.n_features != source_in:
-            raise ModelError(
-                f"transfer target has {data.n_features} features, "
-                f"model was trained on {source_in}"
-            )
-        clone = GCNClassifier(
-            hidden_dims=self.hidden_dims, dropout=self.dropout,
-            adjacency_mode=self.adjacency_mode,
-            self_loops=self.self_loops, seed=self.seed,
-            config=self.config, conv=self.conv,
-        )
-        clone.model = build_gcn_stack(
-            data.n_features, 2,
-            data.a_norm(self.adjacency_mode, self.self_loops),
-            hidden_dims=self.hidden_dims, dropout=self.dropout,
-            log_softmax=True, seed=self.seed, conv=self.conv,
-        )
-        for target, source in zip(clone.model.parameters(),
-                                  self.model.parameters()):
-            target.value[:] = source.value
-        clone.model.eval()
-        clone._data = data
-        return clone
-
-
-class GCNRegressor:
+class GCNRegressor(_GCNHead):
     """Criticality-score regressor (§3.4).
 
     Identical to the classifier except the log-softmax is removed and
@@ -205,6 +234,9 @@ class GCNRegressor:
     """
 
     name = "GCN-regressor"
+    out_features = 1
+    log_softmax = False
+    conv = "gcn"
 
     def __init__(
         self,
@@ -227,12 +259,7 @@ class GCNRegressor:
 
     def fit(self, data: GraphData, split: Split) -> "GCNRegressor":
         """Train on the training fold's continuous criticality scores."""
-        a_norm = data.a_norm(self.adjacency_mode, self.self_loops)
-        self.model = build_gcn_stack(
-            data.n_features, 1, a_norm,
-            hidden_dims=self.hidden_dims, dropout=self.dropout,
-            log_softmax=False, seed=self.seed,
-        )
+        self.model = self._build(data)
         self.history = train_regressor(
             self.model, data.x, data.y_score,
             split.train_mask, split.val_mask, self.config,
@@ -243,42 +270,7 @@ class GCNRegressor:
 
     def predict(self, data: Optional[GraphData] = None) -> np.ndarray:
         """Continuous criticality scores, clipped to [0, 1]."""
-        if self.model is None:
-            raise ModelError("predict before fit")
+        model = self._require_fitted()
         data = data if data is not None else self._data
-        self.model.eval()
-        return np.clip(self.model.forward(data.x).reshape(-1), 0.0, 1.0)
-
-    def transfer_to(self, data: GraphData) -> "GCNRegressor":
-        """Bind the trained weights to a *different* design's graph.
-
-        Same contract as :meth:`GCNClassifier.transfer_to`: the weights
-        are graph-independent, the propagation matrix comes from
-        ``data``, and the target must share the feature set.
-        """
-        if self.model is None:
-            raise ModelError("predict before fit")
-        source_in = self.model.parameters()[0].shape[0]
-        if data.n_features != source_in:
-            raise ModelError(
-                f"transfer target has {data.n_features} features, "
-                f"model was trained on {source_in}"
-            )
-        clone = GCNRegressor(
-            hidden_dims=self.hidden_dims, dropout=self.dropout,
-            adjacency_mode=self.adjacency_mode,
-            self_loops=self.self_loops, seed=self.seed,
-            config=self.config,
-        )
-        clone.model = build_gcn_stack(
-            data.n_features, 1,
-            data.a_norm(self.adjacency_mode, self.self_loops),
-            hidden_dims=self.hidden_dims, dropout=self.dropout,
-            log_softmax=False, seed=self.seed,
-        )
-        for target, source in zip(clone.model.parameters(),
-                                  self.model.parameters()):
-            target.value[:] = source.value
-        clone.model.eval()
-        clone._data = data
-        return clone
+        model.eval()
+        return np.clip(model.forward(data.x).reshape(-1), 0.0, 1.0)

@@ -707,7 +707,9 @@ class ClassifierObjective:
                      out=self._hits)
         # count_nonzero/size divides the same exact integers as
         # ``mean`` would — identical bits, no fromnumeric dispatch.
-        return np.count_nonzero(self._hits) / self._hits.size
+        # ``float``: numpy 2 returns a numpy integer count, and the
+        # quotient would leak into histories as ``np.float64``.
+        return float(np.count_nonzero(self._hits) / self._hits.size)
 
 
 class RegressorObjective:

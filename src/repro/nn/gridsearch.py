@@ -27,7 +27,7 @@ from repro.nn.engine import PropagationCache
 from repro.nn.modules import GCNConv, Module, Sequential
 from repro.nn.training import TrainingConfig, train_classifier
 from repro.utils.errors import ModelError
-from repro.utils.workerpool import PoolPolicy, run_supervised
+from repro.utils.workerpool import PoolPolicy, map_supervised
 
 #: builder(hidden_dims, dropout, seed) -> Module
 ModelBuilder = Callable[[Sequence[int], float, int], Module]
@@ -146,31 +146,20 @@ def grid_search(
             best_epoch=history.best_epoch,
         )
 
-    if jobs == 1 or len(combos) < 2:
-        points = [evaluate(combo) for combo in combos]
-    else:
-        if fast_math and combos:
-            _warm_propagation(
-                builder(tuple(combos[0][0]), combos[0][1], seed),
-                x, cache,
-            )
-        policy = PoolPolicy(
-            jobs=jobs,
-            max_worker_restarts=max_worker_restarts,
-            heartbeat_interval=heartbeat_interval,
+    if fast_math and combos and jobs != 1:
+        _warm_propagation(
+            builder(tuple(combos[0][0]), combos[0][1], seed), x, cache,
         )
-        points = []
-        for combo, outcome in zip(
-            combos, run_supervised(evaluate, combos, policy)
-        ):
-            if not outcome.ok:
-                hidden_dims, dropout, lr = combo
-                cause = outcome.error or outcome.crash.describe()
-                raise ModelError(
-                    f"grid candidate dims={tuple(hidden_dims)} "
-                    f"dropout={dropout} lr={lr} failed: {cause}"
-                )
-            points.append(outcome.value)
+    policy = PoolPolicy(
+        jobs=jobs,
+        max_worker_restarts=max_worker_restarts,
+        heartbeat_interval=heartbeat_interval,
+    )
+    points = map_supervised(
+        evaluate, combos, policy,
+        lambda combo: (f"grid candidate dims={tuple(combo[0])} "
+                       f"dropout={combo[1]} lr={combo[2]}"),
+    )
 
     points.sort(key=lambda p: p.val_accuracy, reverse=True)
     return GridSearchResult(points=points)

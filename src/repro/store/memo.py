@@ -356,37 +356,33 @@ class AnalysisMemo:
             ),
         )
 
-    def classifier(self, compute: Callable):
-        return self._model(self.classifier_key(), "classifier",
-                           compute, seed_stream="gcn",
-                           training=self.analyzer.config.training)
+    def head(self, kind: str, template):
+        """The stored GCN head ``kind`` (``classifier`` or
+        ``regressor``), or ``None`` on a miss.
 
-    def regressor(self, compute: Callable):
-        return self._model(
-            self.regressor_key(), "regressor", compute,
-            seed_stream="gcn-regressor",
-            training=self.analyzer.config.regressor_training,
-        )
-
-    def _model(self, key: str, kind: str, compute: Callable, *,
-               seed_stream: str, training):
-        from repro.io import load_gcn, save_gcn
+        ``template`` is the untrained head the analyzer would fit; the
+        stored one takes its seed and training config, so a later
+        ``transfer_to`` clone matches a cold-trained model exactly.
+        """
+        from repro.io import load_gcn
 
         def reader(path):
             model = load_gcn(path, self.analyzer.data)
-            # load_gcn restores architecture + weights; rebind the
-            # run's seed/config so later transfer_to clones match a
-            # cold-trained model exactly.
-            model.seed = (self.analyzer.config.seed, seed_stream)
-            model.config = training
+            model.seed, model.config = template.seed, template.config
             return model
 
-        return self._stage(
-            key, kind, compute, reader=reader,
-            make_writer=lambda value: (
-                lambda path: save_gcn(value, path)
-            ),
-        )
+        return self._get(self._head_key(kind), kind, reader)
+
+    def put_head(self, kind: str, model) -> None:
+        """Store the trained GCN head ``kind`` under its stage key."""
+        from repro.io import save_gcn
+
+        self._put(self._head_key(kind), kind,
+                  lambda path: save_gcn(model, path))
+
+    def _head_key(self, kind: str) -> str:
+        return (self.classifier_key() if kind == "classifier"
+                else self.regressor_key())
 
     def explanations(self, nodes: Sequence[int], compute: Callable):
         from repro.explain.gnn_explainer import ExplainerConfig
@@ -476,13 +472,21 @@ class AnalysisMemo:
                            make_writer=make_writer)
 
     # -- shared get-or-compute-put ------------------------------------
-    def _stage(self, key: str, kind: str, compute: Callable, *,
-               reader: Callable, make_writer: Callable):
+    def _get(self, key: str, kind: str, reader: Callable):
         hit = self.store.get(key, kind, reader)
         if hit is not None:
             logger.info("store hit: %s %s", kind, key[:12])
+        return hit
+
+    def _put(self, key: str, kind: str, writer: Callable) -> None:
+        self.store.put(key, kind, writer,
+                       meta={"design": self.analyzer.netlist.name})
+
+    def _stage(self, key: str, kind: str, compute: Callable, *,
+               reader: Callable, make_writer: Callable):
+        hit = self._get(key, kind, reader)
+        if hit is not None:
             return hit
         value = compute()
-        self.store.put(key, kind, make_writer(value),
-                       meta={"design": self.analyzer.netlist.name})
+        self._put(key, kind, make_writer(value))
         return value

@@ -1,5 +1,5 @@
-"""Multi-core campaign plumbing: job resolution, shard sizing and the
-BLAS thread budget.
+"""Multi-core plumbing: job resolution, shard sizing and the BLAS
+thread budget.
 
 The sharded campaign engine splits a fault universe into contiguous
 shards and fans (workload group x shard) units out over worker
@@ -53,6 +53,20 @@ def resolve_jobs(jobs: int) -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # platforms without sched_getaffinity
         return max(1, os.cpu_count() or 1)
+
+
+def default_jobs() -> int:
+    """Worker-process count for a stage whose caller named none.
+
+    Every usable CPU (``resolve_jobs(0)``), except where a pool cannot
+    run: without the fork start method, and inside a daemonic process
+    such as a pool worker, which multiprocessing forbids to have
+    children.  There, and on a one-CPU host, it is 1: the in-process
+    path.
+    """
+    if fork_context() is None or multiprocessing.current_process().daemon:
+        return 1
+    return resolve_jobs(0)
 
 
 def auto_shard_size(

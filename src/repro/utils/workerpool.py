@@ -66,7 +66,7 @@ from typing import (
 
 from multiprocessing.connection import Connection, wait
 
-from repro.utils.errors import CampaignError
+from repro.utils.errors import CampaignError, ModelError
 from repro.utils.parallel import fork_context, resolve_jobs
 
 #: Stop sentinel sent down a worker's pipe at shutdown.
@@ -180,6 +180,7 @@ def _signal_name(exitcode: Optional[int]) -> str:
 
 def _worker_main(
     connection: Connection,
+    inherited: List[Connection],
     slot: int,
     heartbeats,
     interval: float,
@@ -191,6 +192,13 @@ def _worker_main(
     state it closes over are inherited copy-on-write — nothing here is
     ever pickled except unit inputs and result values.
     """
+    # The fork also copied the parent's end of this worker's pipe and
+    # of every older worker's.  While any copy stays open, ``recv``
+    # cannot see EOF when the parent dies, and the worker would idle
+    # forever as an orphan.
+    for parent_end in inherited:
+        parent_end.close()
+
     # The parent owns interrupt policy: a terminal Ctrl-C hits the
     # whole foreground process group, and a worker that died to it
     # would be indistinguishable from a crash the supervisor should
@@ -308,7 +316,10 @@ class WorkerPool:
         self._heartbeats[slot] = time.monotonic()
         process = self._context.Process(
             target=_worker_main,
-            args=(child_end, slot, self._heartbeats,
+            args=(child_end,
+                  [worker.connection for worker in self._workers]
+                  + [parent_end],
+                  slot, self._heartbeats,
                   self.policy.heartbeat_interval, self._worker_fn),
             daemon=True,
             name=f"pool-worker-{slot}",
@@ -516,3 +527,60 @@ def run_supervised(
         for result in pool.run(units):
             ordered[result.index] = result
     return ordered  # type: ignore[return-value]
+
+
+def map_supervised(
+    worker_fn: Callable[[Any], Any],
+    units: Sequence[Any],
+    policy: PoolPolicy,
+    describe: Callable[[Any], str],
+    *,
+    size: Optional[Callable[[Any], float]] = None,
+    return_errors: bool = False,
+) -> List[Any]:
+    """``[worker_fn(unit) for unit in units]``, on a pool when the
+    policy resolves to more than one worker, there is more than one
+    unit and the platform can fork; in-process otherwise.
+
+    A pool deals the units out largest ``size(unit)`` first, if given:
+    a big unit dealt last would run alone while the other workers
+    idle.  In-process they run in order.  Values come back in unit
+    order either way.
+
+    A unit that raised in a worker or that the pool gave up on raises
+    :class:`ModelError` naming ``describe(unit)`` (a crash's cause
+    starts ``worker_crash``); in-process, what ``worker_fn`` raises
+    propagates as it is.  With ``return_errors`` the exception takes
+    the unit's place instead, so one unit's failure does not discard
+    the other units' values.
+    """
+    units = list(units)
+    if (resolve_jobs(policy.jobs) <= 1 or len(units) < 2
+            or fork_context() is None):
+        if not return_errors:
+            return [worker_fn(unit) for unit in units]
+        values = []
+        for unit in units:
+            try:
+                values.append(worker_fn(unit))
+            except Exception as error:
+                values.append(error)
+        return values
+    order = list(range(len(units)))
+    if size is not None:
+        order.sort(key=lambda index: -size(units[index]))
+    outcomes = run_supervised(worker_fn, [units[i] for i in order],
+                              policy)
+    values = [None] * len(units)
+    for position, outcome in zip(order, outcomes):
+        if outcome.ok:
+            values[position] = outcome.value
+            continue
+        cause = (outcome.error
+                 or f"worker_crash: {outcome.crash.describe()}")
+        error = ModelError(f"{describe(units[position])} failed in a "
+                           f"pool worker: {cause}")
+        if not return_errors:
+            raise error
+        values[position] = error
+    return values

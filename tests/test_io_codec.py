@@ -488,8 +488,5 @@ def test_store_filled_by_reference_writers_reads_back_all_hits(
     after = ArtifactStore(directory).stats()
     assert after["misses"] == filled["misses"]
     assert after["hits"] > filled["hits"]
-    assert repr(warm[:2]) == repr(cold[:2])
-    # A fresh sweep reports numpy scalars, a stored one Python floats.
-    assert [dataclasses.astuple(point) for point in warm[2].points] == [
-        dataclasses.astuple(point) for point in cold[2].points]
+    assert repr(warm[:3]) == repr(cold[:3])
     assert_same(warm[3], cold[3])

@@ -463,6 +463,25 @@ class TestMemoizedAnalysis:
             assert mine.subgraph_nodes == theirs.subgraph_nodes
             assert mine.edge_importance == theirs.edge_importance
 
+    def test_grid_search_memoized_with_identical_repr(self, sdram,
+                                                      tmp_path):
+        """A fresh sweep and its stored copy carry the same Python
+        types, so even their ``repr`` agrees."""
+        config = AnalyzerConfig(**SMALL)
+        directory = tmp_path / "store"
+        options = dict(hidden_dim_options=[(8,)],
+                       dropout_options=[0.0, 0.3], lr_options=[0.01],
+                       epochs=5)
+        cold = FaultCriticalityAnalyzer(
+            sdram, config, store=ArtifactStore(directory)
+        ).grid_search(**options)
+        misses = ArtifactStore(directory).stats()["misses"]
+        warm = FaultCriticalityAnalyzer(
+            sdram, config, store=ArtifactStore(directory)
+        ).grid_search(**options)
+        assert ArtifactStore(directory).stats()["misses"] == misses
+        assert repr(warm) == repr(cold)
+
     def test_partial_campaign_never_cached(self, sdram, tmp_path):
         from repro.fi.campaign import CampaignResult, WorkloadFailure
 

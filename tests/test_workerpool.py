@@ -9,7 +9,11 @@ integration lives in ``test_chaos.py``.
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +164,58 @@ class TestCrashRecovery:
         assert all(r.ok for r in results)
         assert [r.value for r in results] == [100, 101, 102]
         assert pool.restarts >= 1
+
+
+#: A parent whose two pool workers each print their pid, then hold a
+#: unit for two seconds.
+_PARENT = textwrap.dedent("""
+    import os, time
+    from repro.utils.workerpool import PoolPolicy, WorkerPool
+
+    def hold(unit):
+        print(os.getpid(), flush=True)
+        time.sleep(2.0)
+        return unit
+
+    with WorkerPool(hold, PoolPolicy(jobs=2)) as pool:
+        list(pool.run([0, 1, 2, 3]))
+""")
+
+
+def _exited(pid: int) -> bool:
+    """Gone, or a zombie nobody reaps (an orphan's new parent may not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    # Each worker must hold no copy of any parent-side pipe end, or
+    # its recv never sees EOF once the parent is gone.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    parent = subprocess.Popen([sys.executable, "-c", _PARENT],
+                              stdout=subprocess.PIPE, env=env, text=True)
+    workers = []
+    try:
+        workers = [int(parent.stdout.readline()) for _ in range(2)]
+        parent.kill()  # SIGKILL: no shutdown() runs
+        parent.wait()
+        deadline = time.monotonic() + 10.0
+        while (time.monotonic() < deadline
+               and not all(_exited(pid) for pid in workers)):
+            time.sleep(0.1)
+        assert all(_exited(pid) for pid in workers)
+    finally:
+        parent.kill()
+        parent.stdout.close()
+        for pid in workers:
+            if not _exited(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestPolicyValidation:
