@@ -32,11 +32,12 @@ from repro.reporting import bar_chart, render_table
 
 DESIGN_CHOICES = ("sdram", "or1200_if", "or1200_icfsm", "uart")
 
-JOBS_HELP = ("worker processes for every stage (0 = all cores).  "
-             "Default: the GCN heads, the baselines and the explainer "
-             "run on every usable CPU, the FI campaign (and any ECO "
-             "re-simulation) in one process.  Results are bitwise "
-             "identical to --jobs 1")
+JOBS_HELP = ("worker processes for every stage (0 = all cores; "
+             "clamped to the usable CPUs, so one CPU runs in one "
+             "process).  Default: the GCN heads, the baselines and "
+             "the explainer run on every usable CPU, the FI campaign "
+             "(and any ECO re-simulation) in one process.  Results "
+             "are bitwise identical to --jobs 1")
 
 
 def _parse_shard_size(text: str):
@@ -53,21 +54,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="number of workloads in the FI suite")
     parser.add_argument("--cycles", type=int, default=200,
                         help="cycles per workload")
-
-
-def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
-    """Worker-pool supervision knobs (meaningful with --jobs > 1)."""
-    parser.add_argument("--max-worker-restarts", type=int, default=8,
-                        metavar="N",
-                        help="dead pool workers respawned over the "
-                             "whole run before the pool is allowed to "
-                             "shrink (default: 8)")
-    parser.add_argument("--heartbeat-interval", type=float, default=5.0,
-                        metavar="SECONDS",
-                        help="seconds between worker liveness stamps; "
-                             "a worker silent for several intervals "
-                             "is presumed wedged and replaced "
-                             "(default: 5.0)")
 
 
 def _add_store_flags(parser: argparse.ArgumentParser) -> None:
@@ -166,9 +152,7 @@ def cmd_analyze(args) -> int:
         )
         print(f"\nGNNExplainer sample ({len(nodes)} held-out nodes, "
               "both predicted classes):")
-        for report in analyzer.node_report(
-                nodes, max_worker_restarts=args.max_worker_restarts,
-                heartbeat_interval=args.heartbeat_interval):
+        for report in analyzer.node_report(nodes):
             print(render_table([report.as_row()],
                                title=f"Node {report.node_name}"))
     if args.save_campaign:
@@ -205,8 +189,6 @@ def cmd_campaign(args) -> int:
                 checkpoint_dir=args.checkpoint_dir,
                 resume=args.resume,
                 jobs=args.jobs, shard_size=args.shard_size,
-                max_worker_restarts=args.max_worker_restarts,
-                heartbeat_interval=args.heartbeat_interval,
             )
         except EcoError as error:
             print(f"error: cannot reuse baseline incrementally: "
@@ -239,8 +221,6 @@ def cmd_campaign(args) -> int:
                 checkpoint_dir=args.checkpoint_dir,
                 resume=args.resume,
                 jobs=args.jobs, shard_size=args.shard_size,
-                max_worker_restarts=args.max_worker_restarts,
-                heartbeat_interval=args.heartbeat_interval,
             )
 
         store = _open_store(args)
@@ -291,10 +271,7 @@ def cmd_explain(args) -> int:
         return 2
     if args.batch_size is not None:
         analyzer.explainer.batch_size = args.batch_size
-    reports = analyzer.node_report(
-        nodes, max_worker_restarts=args.max_worker_restarts,
-        heartbeat_interval=args.heartbeat_interval,
-    )
+    reports = analyzer.node_report(nodes)
     for report in reports:
         print(render_table([report.as_row()],
                            title=f"Node {report.node_name}"))
@@ -384,11 +361,8 @@ def cmd_harden(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     analyzer = _make_analyzer(args)
-    result = analyzer.grid_search(
-        epochs=args.epochs, jobs=args.jobs, fast_math=args.fast_math,
-        max_worker_restarts=args.max_worker_restarts,
-        heartbeat_interval=args.heartbeat_interval,
-    )
+    result = analyzer.grid_search(epochs=args.epochs,
+                                  fast_math=args.fast_math)
     print(render_table(
         result.table(),
         title=f"Grid search: {analyzer.netlist.name} "
@@ -489,7 +463,6 @@ def main(argv=None) -> int:
                               "campaign instead of simulating the "
                               "baseline in-memory")
     _add_store_flags(analyze)
-    _add_pool_flags(analyze)
 
     campaign = commands.add_parser("campaign", help="FI campaign only")
     _add_common(campaign)
@@ -516,7 +489,8 @@ def main(argv=None) -> int:
                                "ledger)")
     campaign.add_argument("--jobs", type=int, default=1, metavar="N",
                           help="worker processes for (workload group "
-                               "x shard) units; a group holds at most "
+                               "x shard) units, clamped to the usable "
+                               "CPUs; a group holds at most "
                                "ceil(workloads / N) workloads (0 = all "
                                "cores; results are bitwise identical "
                                "to --jobs 1)")
@@ -546,7 +520,6 @@ def main(argv=None) -> int:
                                "unlocking --eco's trace-merge fast "
                                "path")
     _add_store_flags(campaign)
-    _add_pool_flags(campaign)
 
     explain = commands.add_parser("explain",
                                   help="per-node explanations")
@@ -563,7 +536,6 @@ def main(argv=None) -> int:
                               "batch (default: explainer's built-in; "
                               "results are identical for any K)")
     _add_store_flags(explain)
-    _add_pool_flags(explain)
 
     grid = commands.add_parser(
         "gridsearch", help="hyperparameter grid search (§3.3.2)"
@@ -574,15 +546,15 @@ def main(argv=None) -> int:
                            "(default: 200, patience 40)")
     grid.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="pool workers training candidates in "
-                           "parallel (0 = all cores; the ranking is "
-                           "bitwise identical to --jobs 1)")
+                           "parallel, clamped to the usable CPUs "
+                           "(0 = all cores; the ranking is bitwise "
+                           "identical to --jobs 1)")
     grid.add_argument("--fast-math", action="store_true",
                       help="reordered sparse kernels + shared "
                            "first-layer propagation cache "
                            "(faster, algebraically exact, but not "
                            "bitwise identical to the default)")
     _add_store_flags(grid)
-    _add_pool_flags(grid)
 
     store = commands.add_parser(
         "store", help="artifact-store maintenance"

@@ -14,8 +14,8 @@ they need (e.g. ``analyzer.classifier`` without ever explaining).
 
 The model stages consume one graph independently: the two GCN heads,
 the five baselines and the explainer's batches.  With more than one
-job (the default on a multi-core host) each runs its units on the
-supervised fork :class:`~repro.utils.workerpool.WorkerPool`; every
+worker (the default on a multi-core host) each runs its units on the
+supervised fork worker pool (:mod:`repro.utils.workerpool`); every
 value returned, stored or printed is bitwise identical to ``jobs=1``.
 """
 
@@ -61,9 +61,8 @@ from repro.models import (
 from repro.netlist.netlist import Netlist
 from repro.sim import Workload, design_workloads
 from repro.utils.errors import ModelError
-from repro.utils.parallel import default_jobs, resolve_jobs
 from repro.utils.rng import derive_rng
-from repro.utils.workerpool import PoolPolicy, map_supervised
+from repro.utils.workerpool import map_supervised, worker_count
 
 logger = logging.getLogger("repro.core")
 
@@ -167,12 +166,13 @@ class EcoAnalysis:
 class FaultCriticalityAnalyzer:
     """The framework's main entry point for one design.
 
-    ``jobs`` is the worker-process count (``0`` = all cores).  Left
-    ``None``, the model stages use every usable CPU (one process where
-    a pool cannot run, see :func:`~repro.utils.parallel.default_jobs`)
-    while the campaign and the ECO re-simulation stay in-process:
-    their units at these sizes cost less than a pool's fork.  A given
-    ``jobs`` applies to every stage.  Results never depend on it.
+    ``jobs`` is the worker-process count (``0`` = all cores), clamped
+    by :func:`~repro.utils.workerpool.worker_count` (one process where
+    a pool cannot run or one CPU is usable).  Left ``None``, the model
+    stages use every usable CPU while the campaign, the ECO
+    re-simulation and the grid search stay in-process: their units at
+    these sizes cost less than a pool's fork.  A given ``jobs``
+    applies to every stage.  Results never depend on it.
     """
 
     def __init__(self, netlist: Netlist,
@@ -183,9 +183,10 @@ class FaultCriticalityAnalyzer:
         self.config = config or AnalyzerConfig()
         self.store = store
         #: Worker processes for the GCN heads, baselines and explainer.
-        self.jobs = default_jobs() if jobs is None else resolve_jobs(jobs)
-        #: Worker processes for the campaign and ECO re-simulation.
-        self.fi_jobs = 1 if jobs is None else jobs
+        self.jobs = worker_count(0 if jobs is None else jobs)
+        #: Worker processes for the campaign, the ECO re-simulation
+        #: and the grid search.
+        self.fi_jobs = 1 if jobs is None else self.jobs
         self._memo = None
         self._workloads: Optional[List[Workload]] = (
             list(workloads) if workloads is not None else None
@@ -373,8 +374,7 @@ class FaultCriticalityAnalyzer:
                      for parameter in model.model.parameters()],
                     model.history)
 
-        trained = map_supervised(train, list(missing),
-                                 PoolPolicy(jobs=self.jobs),
+        trained = map_supervised(train, list(missing), self.jobs,
                                  lambda head: f"GCN {head} training",
                                  return_errors=True)
         failure = None
@@ -404,18 +404,15 @@ class FaultCriticalityAnalyzer:
         dropout_options: Optional[Sequence[float]] = None,
         lr_options: Optional[Sequence[float]] = None,
         epochs: int = 200,
-        jobs: int = 1,
         fast_math: bool = False,
-        max_worker_restarts: int = 8,
-        heartbeat_interval: float = 5.0,
     ):
         """§3.3.2 hyperparameter sweep on this design's graph.
 
         Trains one Table 1-style GCN stack per grid point on the
         design's features/labels/split and ranks by validation
-        accuracy.  ``jobs`` fans candidates out over the supervised
-        fork worker pool (``0`` = all cores; the ranking is bitwise
-        identical to serial); ``fast_math`` opts candidate trainings
+        accuracy.  Candidates run on :attr:`fi_jobs` workers: serial
+        unless the analyzer was given ``jobs`` (the ranking is bitwise
+        identical either way).  ``fast_math`` opts candidate trainings
         into the engine's reordered kernels and the design's shared
         first-layer propagation cache (faster, not bitwise).  Option
         sequences default to the paper's grid.
@@ -448,10 +445,8 @@ class FaultCriticalityAnalyzer:
                 builder, data.x, data.y_class,
                 split.train_mask, split.val_mask,
                 epochs=epochs, seed=self.config.seed,
-                jobs=jobs, fast_math=fast_math,
+                jobs=self.fi_jobs, fast_math=fast_math,
                 cache=data.propagation_cache(),
-                max_worker_restarts=max_worker_restarts,
-                heartbeat_interval=heartbeat_interval,
                 **options,
             )
 
@@ -549,8 +544,7 @@ class FaultCriticalityAnalyzer:
 
         names = list(names)
         return dict(zip(names, map_supervised(
-            fit, names, PoolPolicy(jobs=self.jobs),
-            lambda name: f"baseline {name}")))
+            fit, names, self.jobs, lambda name: f"baseline {name}")))
 
     def regression_quality(self) -> Dict[str, float]:
         """Score-prediction metrics on held-out nodes, including the
@@ -572,27 +566,18 @@ class FaultCriticalityAnalyzer:
         }
 
     def explain_nodes(self, nodes: Sequence["str | int"],
-                      jobs: Optional[int] = None,
                       batch_size: Optional[int] = None,
-                      max_worker_restarts: int = 8,
-                      heartbeat_interval: float = 5.0,
                       ) -> List[Explanation]:
         """Per-node GNNExplainer interpretations.
 
-        ``jobs`` fans the explainer's block-diagonal batches out over
-        the supervised fork worker pool (0 = all cores; default: the
-        analyzer's);
-        ``batch_size`` caps nodes per batch; ``max_worker_restarts``
-        and ``heartbeat_interval`` tune the pool's crash supervision.
-        Results are identical for every combination, so none of those
-        knobs participate in the artifact-store key.
+        The explainer's block-diagonal batches run on the analyzer's
+        :attr:`jobs` workers; ``batch_size`` caps nodes per batch.
+        Results are identical for every combination, so neither
+        participates in the artifact-store key.
         """
         def compute() -> List[Explanation]:
             return self.explainer.explain_many(
-                nodes, jobs=self.jobs if jobs is None else jobs,
-                batch_size=batch_size,
-                max_worker_restarts=max_worker_restarts,
-                heartbeat_interval=heartbeat_interval,
+                nodes, jobs=self.jobs, batch_size=batch_size,
             )
 
         memo = self.memo
@@ -635,19 +620,14 @@ class FaultCriticalityAnalyzer:
         explanations = self.explain_nodes([int(c) for c in candidates])
         return aggregate_importance(explanations)
 
-    def node_report(self, nodes: Sequence["str | int"],
-                    max_worker_restarts: int = 8,
-                    heartbeat_interval: float = 5.0,
+    def node_report(self, nodes: Sequence["str | int"]
                     ) -> List[NodeReport]:
         """Table 2 rows: classification, feature importances, predicted
         criticality score — for the named nodes."""
         data = self.data
         predictions = self.classifier.predict()
         scores = self.regressor.predict()
-        explanations = self.explain_nodes(
-            nodes, max_worker_restarts=max_worker_restarts,
-            heartbeat_interval=heartbeat_interval,
-        )
+        explanations = self.explain_nodes(nodes)
         reports: List[NodeReport] = []
         for node, explanation in zip(nodes, explanations):
             index = (
@@ -691,11 +671,6 @@ class FaultCriticalityAnalyzer:
     def eco_update(
         self, new_netlist: Netlist, *,
         base_checkpoint_dir: "Optional[str]" = None,
-        shard_size: int = 0,
-        checkpoint_dir: "Optional[str]" = None,
-        resume: bool = False,
-        timeout: Optional[float] = None,
-        retries: int = 0,
     ) -> EcoAnalysis:
         """Re-analyze an edited version of this design incrementally.
 
@@ -719,24 +694,12 @@ class FaultCriticalityAnalyzer:
         """
         from repro.fi.eco import _remap_workloads
 
-        if base_checkpoint_dir is not None:
-            eco = run_eco_campaign(
-                self.netlist, new_netlist, self.workloads,
-                base_checkpoint_dir=base_checkpoint_dir,
-                severity=self.config.severity,
-                jobs=self.fi_jobs, shard_size=shard_size,
-                checkpoint_dir=checkpoint_dir, resume=resume,
-                timeout=timeout, retries=retries,
-            )
-        else:
-            eco = run_eco_campaign(
-                self.netlist, new_netlist, self.workloads,
-                base=self.campaign,
-                severity=self.config.severity,
-                jobs=self.fi_jobs, shard_size=shard_size,
-                checkpoint_dir=checkpoint_dir, resume=resume,
-                timeout=timeout, retries=retries,
-            )
+        eco = run_eco_campaign(
+            self.netlist, new_netlist, self.workloads,
+            base=self.campaign if base_checkpoint_dir is None else None,
+            base_checkpoint_dir=base_checkpoint_dir,
+            severity=self.config.severity, jobs=self.fi_jobs,
+        )
         remapped = _remap_workloads(new_netlist, self.workloads)
         features = patch_features(
             self.features, new_netlist, eco.region.dirty_nodes,

@@ -31,7 +31,7 @@ so this is a throughput-critical path):
   ``base.copy()``), and the adjacency gradient is evaluated only at
   stored entries via nnz gathers instead of a dense ``G @ (HW)^T``.
 * ``explain_many`` fans batches out over a persistent supervised fork
-  pool (:class:`repro.utils.workerpool.WorkerPool`): the parent builds
+  pool (:func:`repro.utils.workerpool.map_supervised`): the parent builds
   every subgraph signature and node plan *before* forking, so workers
   inherit the whole cache copy-on-write and spend their lives purely
   in mask optimization; batches stream back with per-unit
@@ -63,7 +63,7 @@ from repro.nn.modules import Parameter, functional_plan
 from repro.nn.optim import Adam
 from repro.utils.errors import ModelError
 from repro.utils.rng import SeedLike, derive_rng
-from repro.utils.workerpool import PoolPolicy, map_supervised
+from repro.utils.workerpool import map_supervised
 
 #: Nodes per block-diagonal batch.  Large enough to amortize the
 #: per-epoch numpy dispatch over many masks, small enough that one
@@ -593,22 +593,6 @@ def _optimize_masks(
     return _sigmoid(edge_logits), _sigmoid(feature_logits)
 
 
-#: Explainer inherited by fork workers (the trained stack and the
-#: graph slices are shared copy-on-write, so nothing is pickled).
-_WORKER_EXPLAINER: Optional["GNNExplainer"] = None
-
-
-def _worker_batch(node_indices: List[int]) -> List[Explanation]:
-    """Pool entry point: explain one batch in a fork worker."""
-    explainer = _WORKER_EXPLAINER
-    if explainer is None:
-        raise ModelError(
-            "explain worker has no inherited context (requires the "
-            "fork start method)"
-        )
-    return explainer._explain_batch(node_indices)
-
-
 class GNNExplainer:
     """Post-hoc explainer for a fitted :class:`GCNClassifier`."""
 
@@ -706,24 +690,19 @@ class GNNExplainer:
     def explain_many(self, nodes: Sequence["str | int"],
                      jobs: int = 1,
                      batch_size: Optional[int] = None,
-                     max_worker_restarts: int = 8,
-                     heartbeat_interval: float = 5.0,
                      ) -> List[Explanation]:
         """Explain a batch of nodes.
 
         ``batch_size`` caps how many equal-width subgraphs share one
         block-diagonal optimization (default: the explainer's);
         ``jobs`` fans batches out over a persistent supervised pool of
-        fork workers (0 = all cores).  ``max_worker_restarts`` bounds
-        how many dead workers the pool respawns (their in-flight batch
-        is re-run — per-node RNG derivation keeps the result
+        fork workers (0 = all cores).  The pool re-runs the batch of a
+        worker that died (per-node RNG derivation keeps the result
         identical); a batch that keeps killing its hosts raises a
         typed :class:`~repro.utils.errors.ModelError` naming the nodes
         instead of a bare ``BrokenProcessPool``.  Results are bitwise
         identical for every configuration.
         """
-        global _WORKER_EXPLAINER
-
         if batch_size is None:
             batch_size = self.batch_size
         if batch_size < 1:
@@ -758,22 +737,15 @@ class GNNExplainer:
             for node_index in unit:
                 self._node_plan(node_index)
 
-        policy = PoolPolicy(
-            jobs=jobs,
-            max_worker_restarts=max_worker_restarts,
-            heartbeat_interval=heartbeat_interval,
+        # Workers inherit the bound method through the fork; nothing
+        # pickles it.
+        outcomes = map_supervised(
+            self._explain_batch, units, jobs,
+            lambda unit: "explanation batch [{}]".format(", ".join(
+                self.data.node_names[index] for index in unit)),
+            size=lambda unit: len(unit) * len(
+                self._subgraph_levels(unit[0])[0]),
         )
-        _WORKER_EXPLAINER = self
-        try:
-            outcomes = map_supervised(
-                _worker_batch, units, policy,
-                lambda unit: "explanation batch [{}]".format(", ".join(
-                    self.data.node_names[index] for index in unit)),
-                size=lambda unit: len(unit) * len(
-                    self._subgraph_levels(unit[0])[0]),
-            )
-        finally:
-            _WORKER_EXPLAINER = None
 
         results: List[Optional[Explanation]] = [None] * len(indices)
         for batch, outcome in zip(batches, outcomes):

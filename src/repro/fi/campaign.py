@@ -214,9 +214,6 @@ def run_campaign(
     resume: bool = False,
     jobs: int = 1,
     shard_size=0,
-    max_worker_restarts: int = 8,
-    heartbeat_interval: float = 5.0,
-    poison_threshold: int = 2,
 ) -> CampaignResult:
     """Run the full fault-injection campaign.
 
@@ -258,22 +255,14 @@ def run_campaign(
             re-simulating them.
         jobs: Worker processes executing (workload group x shard)
             units concurrently; ``1`` (default) runs serially
-            in-process, ``0`` uses every core.  A group holds at most
-            ``ceil(workloads / jobs)`` workloads, so every worker gets
-            a unit.
+            in-process, ``0`` uses every core.  Clamped to the usable
+            CPUs (:func:`~repro.utils.workerpool.worker_count`); a
+            group holds at most ``ceil(workloads / jobs)`` workloads
+            of the clamped count, so every worker gets a unit.
         shard_size: Faults simulated per unit — ``0`` (default) keeps
             the whole universe in one pass per workload group,
             ``None``/``"auto"`` sizes shards so each unit's net values
             fit the shard budget.  Results are bitwise identical for every setting.
-        max_worker_restarts: Dead pool workers respawned over the whole
-            campaign before the pool is allowed to shrink (only
-            meaningful with ``jobs > 1``).
-        heartbeat_interval: Seconds between worker liveness stamps; a
-            worker silent for several intervals is presumed wedged and
-            replaced.
-        poison_threshold: Consecutive host-worker kills after which a
-            unit is quarantined into the failure ledger as
-            ``worker_crash`` instead of crash-looping the pool.
 
     Returns:
         A :class:`CampaignResult` with per-(workload, fault) outcomes
@@ -290,9 +279,6 @@ def run_campaign(
         resume=resume,
         jobs=jobs,
         shard_size=shard_size,
-        max_worker_restarts=max_worker_restarts,
-        heartbeat_interval=heartbeat_interval,
-        poison_threshold=poison_threshold,
     )
     runner = CampaignRunner(
         netlist,

@@ -61,11 +61,7 @@ from typing import (
 
 import numpy as np
 
-from repro.fi.campaign import (
-    DEFAULT_SEVERITY,
-    CampaignResult,
-    WorkloadFailure,
-)
+from repro.fi.campaign import CampaignResult, WorkloadFailure
 from repro.fi.checkpoint import (
     MANIFEST_NAME,
     CheckpointStore,
@@ -254,7 +250,7 @@ def compute_dirty_region(
     campaign rows *and* for deciding which new-design rows to
     re-simulate.
     """
-    from repro.fi.observation import observation_for
+    from repro.fi.observation import resolve_policy
 
     if diff is None:
         diff = diff_netlists(old, new)
@@ -271,10 +267,7 @@ def compute_dirty_region(
     dirty_nodes: Set[str] = set()
     affected_ports: Set[str] = set()
     for view, netlist in (("old", old), ("new", new)):
-        spec = (
-            observation_for(netlist) if observation == "auto"
-            else observation
-        )
+        _, spec = resolve_policy(netlist, observation=observation)
         names, affected = _view_dirty(netlist, diff, view, spec)
         dirty_nodes |= names
         affected_ports |= affected
@@ -1271,15 +1264,15 @@ def _merge_rows(
     )
 
 
-def _resolve_observation(old: Netlist, new: Netlist, observation):
-    """The (shared) observation policy for both designs; refuses when
-    the two designs resolve to different registered specs — the cached
-    rows were compared under the old policy."""
-    from repro.fi.observation import observation_for
+def _resolve_policies(old: Netlist, new: Netlist, severity,
+                      observation) -> Tuple[float, float, object]:
+    """``(old severity, new severity, shared observation)``; refuses
+    when the two designs resolve to different registered observation
+    specs — the cached rows were compared under the old policy."""
+    from repro.fi.observation import resolve_policy
 
-    if observation != "auto":
-        return observation
-    spec_old, spec_new = observation_for(old), observation_for(new)
+    severity_old, spec_old = resolve_policy(old, severity, observation)
+    severity_new, spec_new = resolve_policy(new, severity, observation)
     if observation_key(spec_old) != observation_key(spec_new):
         raise EcoError(
             f"designs {old.name!r} and {new.name!r} resolve to "
@@ -1287,7 +1280,7 @@ def _resolve_observation(old: Netlist, new: Netlist, observation):
             "are not reusable; pass observation= explicitly or run a "
             "full campaign"
         )
-    return spec_old
+    return severity_old, severity_new, spec_old
 
 
 def run_eco_campaign(
@@ -1309,9 +1302,6 @@ def run_eco_campaign(
     resume: bool = False,
     jobs: int = 1,
     shard_size=0,
-    max_worker_restarts: int = 8,
-    heartbeat_interval: float = 5.0,
-    poison_threshold: int = 2,
 ) -> EcoResult:
     """Incremental stuck-at campaign for an edited design.
 
@@ -1349,7 +1339,6 @@ def run_eco_campaign(
     Raises :class:`~repro.utils.errors.EcoError` on any refusal
     condition (see module docstring).
     """
-    from repro.fi.observation import severity_for
     from repro.fi.runner import CampaignRunner, RunnerPolicy
 
     if (base is None) == (base_checkpoint_dir is None):
@@ -1358,15 +1347,8 @@ def run_eco_campaign(
             "base_checkpoint_dir= (checkpoint store)"
         )
     _check_interfaces(old, new, workloads)
-    spec = _resolve_observation(old, new, observation)
-    severity_old = (
-        severity_for(old, DEFAULT_SEVERITY)
-        if severity == "auto" else float(severity)
-    )
-    severity_new = (
-        severity_for(new, DEFAULT_SEVERITY)
-        if severity == "auto" else float(severity)
-    )
+    severity_old, severity_new, spec = _resolve_policies(
+        old, new, severity, observation)
 
     diff = diff_netlists(old, new)
     region = compute_dirty_region(old, new, diff=diff, observation=spec)
@@ -1417,9 +1399,6 @@ def run_eco_campaign(
             timeout=timeout, retries=retries, backoff=backoff,
             checkpoint_dir=checkpoint_dir, resume=resume, jobs=jobs,
             shard_size=shard_size,
-            max_worker_restarts=max_worker_restarts,
-            heartbeat_interval=heartbeat_interval,
-            poison_threshold=poison_threshold,
         )
         runner = CampaignRunner(
             cone,
@@ -1472,18 +1451,14 @@ def run_eco_transient_campaign(
     changed) simply fail the row match and fall back to re-simulation
     — never to a wrong merge.
     """
-    from repro.fi.observation import severity_for
     from repro.fi.transient import (
         run_transient_campaign,
         transient_fault_universe,
     )
 
     _check_interfaces(old, new, workloads)
-    spec = _resolve_observation(old, new, observation)
-    severity_new = (
-        severity_for(new, DEFAULT_SEVERITY)
-        if severity == "auto" else float(severity)
-    )
+    _, severity_new, spec = _resolve_policies(old, new, severity,
+                                              observation)
     _validate_base_result(base, old, workloads)
 
     diff = diff_netlists(old, new)

@@ -148,6 +148,22 @@ DESIGN_SEVERITY: Dict[str, float] = {
 }
 
 
-def severity_for(netlist: Netlist, default: float) -> float:
-    """The design's registered severity threshold, else ``default``."""
-    return DESIGN_SEVERITY.get(netlist.name, default)
+def resolve_policy(
+    netlist: Netlist, severity="auto", observation="auto",
+) -> Tuple[float, Optional[ObservationSpec]]:
+    """Settle ``"auto"`` severity and observation against the design.
+
+    ``"auto"`` severity is the design's registered threshold, else
+    :data:`~repro.fi.campaign.DEFAULT_SEVERITY`; ``"auto"`` observation
+    is the design's registered spec, else ``None`` (every output on
+    every cycle).  Other values pass through, severity as a float.
+    Every campaign, ECO run, checkpoint fingerprint and store key
+    settles its policy here, so each reads the same values.
+    """
+    from repro.fi.campaign import DEFAULT_SEVERITY
+
+    if severity == "auto":
+        severity = DESIGN_SEVERITY.get(netlist.name, DEFAULT_SEVERITY)
+    if observation == "auto":
+        observation = observation_for(netlist)
+    return float(severity), observation

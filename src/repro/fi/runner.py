@@ -23,23 +23,23 @@ pair as an independent, supervised **unit** of work:
   (``None``/``"auto"`` sizes it from the netlist; ``0`` disables
   sharding).  Shards are contiguous, so merged results are bitwise
   identical to an unsharded pass.
-* **Multi-core fan-out** — ``policy.jobs`` worker processes execute
-  units concurrently through a persistent supervised pool
-  (:class:`repro.utils.workerpool.WorkerPool`): workers fork once per
-  campaign after the engine is built (fork-inherited context: netlists
-  carry cell lambdas that cannot pickle, and the pre-built simulator
-  and the netlist's compiled evaluator ride along copy-on-write), pull units from a dynamic queue so
+* **Multi-core fan-out** — units run on
+  :func:`repro.utils.workerpool.run_units` at
+  ``worker_count(policy.jobs)`` workers (clamped to the usable CPUs;
+  one runs everything in-process, identical to the classic serial
+  runner).  Past one, a persistent supervised pool forks once per
+  campaign after the engine is built (fork-inherited context:
+  netlists carry cell lambdas that cannot pickle, and the pre-built
+  simulator and the netlist's compiled evaluator ride along
+  copy-on-write), workers pull units from a dynamic queue so
   stragglers never idle the pool, and acknowledge each result over a
-  pipe so a worker death loses at most the unit it held.  ``jobs=1``
-  runs everything in-process with behaviour identical to the classic
-  serial runner.
+  pipe so a worker death loses at most the unit it held.
 * **Worker supervision** — the pool requeues the in-flight unit of a
-  dead worker (segfault, OOM kill) and respawns workers under
-  ``policy.max_worker_restarts``; liveness is watched via heartbeats
-  every ``policy.heartbeat_interval`` seconds.  A *poison unit* — one
-  that kills ``policy.poison_threshold`` consecutive host workers — is
-  quarantined into the failure ledger (``status="worker_crash"``, with
-  the fatal signal/exitcode) instead of aborting the campaign.
+  dead worker (segfault, OOM kill), respawns workers under a bounded
+  restart budget and watches their heartbeats.  A *poison unit* — one
+  that keeps killing its host workers — is quarantined into the
+  failure ledger (``status="worker_crash"``, with the fatal
+  signal/exitcode) instead of aborting the campaign.
 * **Timeout** — a unit that hangs past ``policy.timeout`` seconds is
   abandoned (the pass thread is orphaned; a fresh engine is built for
   the next attempt so a zombie pass can never corrupt a retry).
@@ -80,11 +80,7 @@ from typing import (
 
 import numpy as np
 
-from repro.fi.campaign import (
-    DEFAULT_SEVERITY,
-    CampaignResult,
-    WorkloadFailure,
-)
+from repro.fi.campaign import CampaignResult, WorkloadFailure
 from repro.fi.checkpoint import (
     CheckpointStore,
     campaign_fingerprint,
@@ -99,14 +95,9 @@ from repro.sim.bitparallel import (
 )
 from repro.sim.waveform import Workload
 from repro.utils.errors import CampaignError, SimulationError
-from repro.utils.parallel import (
-    auto_shard_size,
-    fork_context,
-    resolve_jobs,
-    shard_bounds,
-)
+from repro.utils.parallel import auto_shard_size, shard_bounds
 from repro.utils.retry import BackoffPolicy, retry_call
-from repro.utils.workerpool import PoolPolicy, WorkerPool
+from repro.utils.workerpool import UnitResult, run_units, worker_count
 
 
 class PassTimeout(CampaignError):
@@ -125,17 +116,12 @@ class RunnerPolicy:
     ``timeout`` bounds each attempt of one unit's pass and ``retries``
     counts extra attempts per unit, where a unit is one pass over a
     group of same-length workloads and one fault shard.  ``jobs`` is
-    the worker-process count (``0`` = all cores) and also caps a
-    group at ``ceil(rows / jobs)`` workloads; ``shard_size`` bounds
-    the faults simulated per unit (``0`` = the whole universe in one
-    shard, ``None``/``"auto"`` = sized so each shard's net values fit
-    the shard budget).
-
-    The pool-supervision knobs only matter when ``jobs > 1``:
-    ``max_worker_restarts`` bounds how many dead workers one campaign
-    will respawn, ``heartbeat_interval`` paces worker liveness stamps,
-    and ``poison_threshold`` is the consecutive-host-kill count that
-    quarantines a unit into the failure ledger as ``worker_crash``.
+    the requested worker-process count (``0`` = all cores), which
+    :func:`~repro.utils.workerpool.worker_count` clamps; the clamped
+    count also caps a group at ``ceil(rows / jobs)`` workloads.
+    ``shard_size`` bounds the faults simulated per unit (``0`` = the
+    whole universe in one shard, ``None``/``"auto"`` = sized so each
+    shard's net values fit the shard budget).
     """
 
     timeout: Optional[float] = None
@@ -145,9 +131,6 @@ class RunnerPolicy:
     resume: bool = False
     jobs: int = 1
     shard_size: Optional[Union[int, str]] = 0
-    max_worker_restarts: int = 8
-    heartbeat_interval: float = 5.0
-    poison_threshold: int = 2
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -173,14 +156,6 @@ class RunnerPolicy:
                 f"smaller than one attempt's timeout {self.timeout}s "
                 "— the deadline budget could never cover a single try"
             )
-        # Pool-supervision knobs: validated eagerly (pre-flight), even
-        # though the PoolPolicy is only built when jobs > 1.
-        PoolPolicy(
-            jobs=self.jobs,
-            max_worker_restarts=self.max_worker_restarts,
-            heartbeat_interval=self.heartbeat_interval,
-            poison_threshold=self.poison_threshold,
-        )
         if isinstance(self.shard_size, str):
             if self.shard_size != "auto":
                 raise CampaignError(
@@ -211,21 +186,6 @@ class _UnitOutcome:
 #: A unit of work: the campaign rows it packs and its fault shard.
 _Unit = Tuple[Tuple[int, ...], int]
 
-#: Campaign context inherited by fork workers (netlists are not
-#: picklable, so the pool must fork after this is set).
-_WORKER_RUNNER: Optional["CampaignRunner"] = None
-
-
-def _worker_unit(unit: _Unit) -> _UnitOutcome:
-    """Pool entry point: run one supervised unit in a fork worker."""
-    runner = _WORKER_RUNNER
-    if runner is None:
-        raise CampaignError(
-            "campaign worker has no inherited context (requires the "
-            "fork start method)"
-        )
-    return runner._run_unit(*unit)
-
 
 class CampaignRunner:
     """Supervised executor for one fault-injection campaign.
@@ -250,11 +210,7 @@ class CampaignRunner:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         from repro.fi.collapse import collapse_faults
-        from repro.fi.observation import (
-            ObservationSpec,
-            observation_for,
-            severity_for,
-        )
+        from repro.fi.observation import ObservationSpec, resolve_policy
 
         if not workloads:
             raise SimulationError(
@@ -275,8 +231,8 @@ class CampaignRunner:
                 "zero-cycle workloads have no error rate: "
                 + ", ".join(empty)
             )
-        if severity == "auto":
-            severity = severity_for(netlist, DEFAULT_SEVERITY)
+        severity, observation = resolve_policy(netlist, severity,
+                                               observation)
         if not 0.0 <= severity <= 1.0:
             raise SimulationError(
                 f"severity {severity} outside [0, 1]"
@@ -287,8 +243,6 @@ class CampaignRunner:
         if not fault_list:
             raise SimulationError("campaign needs at least one fault")
 
-        if observation == "auto":
-            observation = observation_for(netlist)
         self._observation_key = observation_key(observation)
         self._compiled = (
             observation.compile(netlist)
@@ -298,7 +252,7 @@ class CampaignRunner:
         self.netlist = netlist
         self.workloads = list(workloads)
         self.faults = fault_list
-        self.severity = float(severity)
+        self.severity = severity
         self.collapse = collapse
         self.policy = policy or RunnerPolicy()
         self._sleep = sleep
@@ -367,15 +321,20 @@ class CampaignRunner:
                 else:
                     pending.setdefault(shard, []).append(row)
 
-        jobs = resolve_jobs(self.policy.jobs)
+        jobs = worker_count(self.policy.jobs)
         units = self._plan_units(pending, jobs)
-        if jobs > 1 and len(units) > 1:
-            outcomes = self._parallel_outcomes(units, jobs)
-        else:
-            outcomes = (self._run_unit(*unit) for unit in units)
-
+        if units:
+            # Built before a pool forks, so its workers inherit the
+            # simulator and the compiled netlist copy-on-write instead
+            # of each compiling them.
+            self._shared_engine()
+        # ``_run_unit`` is looked up as each unit runs, inside the
+        # worker: the fork start method never pickles the function.
+        outcomes = run_units(lambda unit: self._run_unit(*unit), units,
+                             jobs)
         try:
-            for outcome in outcomes:
+            for result in outcomes:
+                outcome = self._outcome(units[result.index], result)
                 total_elapsed += outcome.elapsed_seconds
                 if outcome.status != "ok":
                     failures.extend(self._failures(outcome))
@@ -399,9 +358,7 @@ class CampaignRunner:
             # down *now* (not at GC): closing the generator runs its
             # shutdown path, after which every checkpoint recorded
             # above is durable and the run is resumable.
-            close = getattr(outcomes, "close", None)
-            if close is not None:
-                close()
+            outcomes.close()
 
         return CampaignResult(
             netlist_name=self.netlist.name,
@@ -483,63 +440,31 @@ class CampaignRunner:
             for row in outcome.rows
         ]
 
-    def _parallel_outcomes(self, units: Sequence[_Unit], jobs: int):
-        """Fan units out over the persistent supervised pool.
+    @staticmethod
+    def _outcome(unit: _Unit, result: UnitResult) -> _UnitOutcome:
+        """What one unit did, from its :func:`run_units` result.
 
-        Workers fork once, *after* the shared simulation engine is
-        built, so every child inherits the full campaign context —
-        netlist, stimulus, compiled observation, compiled evaluator —
-        through copy-on-write pages instead of pickling.  Outcomes are
-        yielded as acknowledgments arrive so checkpoints land the
-        moment results exist.  A worker death (segfault, OOM kill)
-        requeues the unit it held and respawns the worker under
-        ``policy.max_worker_restarts``; a unit that keeps killing its
-        hosts is quarantined as ``worker_crash`` ledger entries
-        instead of aborting the campaign.
+        A unit that raised in this process raises again.  A pool
+        worker's error, or a unit the pool gave up on, becomes a
+        failed outcome for the ledger.
         """
-        global _WORKER_RUNNER
-
-        if fork_context() is None:
-            # No fork on this platform: degrade to in-process execution.
-            for unit in units:
-                yield self._run_unit(*unit)
-            return
-
-        # Build the engine pre-fork: children inherit the constructed
-        # simulator and its compiled netlist copy-on-write instead of
-        # each compiling it.
-        self._shared_engine()
-        pool_policy = PoolPolicy(
-            jobs=jobs,
-            max_worker_restarts=self.policy.max_worker_restarts,
-            heartbeat_interval=self.policy.heartbeat_interval,
-            poison_threshold=self.policy.poison_threshold,
+        if result.raised is not None:
+            raise result.raised
+        if result.ok:
+            return result.value
+        rows, shard = unit
+        if result.crash is not None:
+            return _UnitOutcome(
+                rows=rows, shard=shard, value=None,
+                status="worker_crash",
+                attempts=max(result.crash.kills, 1),
+                elapsed_seconds=0.0, error=result.crash.describe(),
+            )
+        return _UnitOutcome(
+            rows=rows, shard=shard, value=None, status="error",
+            attempts=1, elapsed_seconds=0.0,
+            error=f"campaign worker failed: {result.error}",
         )
-        _WORKER_RUNNER = self
-        try:
-            with WorkerPool(_worker_unit, pool_policy) as pool:
-                for result in pool.run(list(units)):
-                    rows, shard = units[result.index]
-                    if result.crash is not None:
-                        yield _UnitOutcome(
-                            rows=rows, shard=shard, value=None,
-                            status="worker_crash",
-                            attempts=max(result.crash.kills, 1),
-                            elapsed_seconds=0.0,
-                            error=result.crash.describe(),
-                        )
-                    elif result.error is not None:
-                        yield _UnitOutcome(
-                            rows=rows, shard=shard, value=None,
-                            status="error", attempts=1,
-                            elapsed_seconds=0.0,
-                            error=f"campaign worker failed: "
-                                  f"{result.error}",
-                        )
-                    else:
-                        yield result.value
-        finally:
-            _WORKER_RUNNER = None
 
     def _run_unit(self, rows: Tuple[int, ...],
                   shard: int) -> _UnitOutcome:

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.fi.campaign import DEFAULT_SEVERITY, CampaignResult
+from repro.fi.campaign import CampaignResult
 from repro.netlist.netlist import Netlist
 from repro.sim.bitparallel import BitParallelSimulator, Upset, cycle_groups
 from repro.sim.waveform import Workload
@@ -102,11 +102,7 @@ def run_transient_campaign(
     before reaching an output scores zero (injections are placed in
     the first half of the run so this rate is attainable).
     """
-    from repro.fi.observation import (
-        ObservationSpec,
-        observation_for,
-        severity_for,
-    )
+    from repro.fi.observation import ObservationSpec, resolve_policy
 
     if not workloads:
         raise SimulationError("campaign needs at least one workload")
@@ -118,10 +114,8 @@ def run_transient_campaign(
     )
     if not fault_list:
         raise SimulationError("campaign needs at least one fault")
-    if severity == "auto":
-        severity = severity_for(netlist, DEFAULT_SEVERITY)
-    if observation == "auto":
-        observation = observation_for(netlist)
+    severity, observation = resolve_policy(netlist, severity,
+                                           observation)
     compiled = (
         observation.compile(netlist)
         if isinstance(observation, ObservationSpec) else None

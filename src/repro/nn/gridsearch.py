@@ -6,8 +6,9 @@ validation accuracy.  Used by the Table 1 benchmark to confirm the
 published architecture is the grid's winner.
 
 Candidates are independent deterministic trainings, so ``jobs > 1``
-fans them out over the supervised fork :class:`WorkerPool` (PR 6);
-results are reassembled in grid-product order before the (stable)
+fans them out over the supervised fork worker pool
+(:func:`~repro.utils.workerpool.map_supervised`); results are
+reassembled in grid-product order before the (stable)
 ranking sort, so the pooled ranking is bitwise identical to serial.
 Each candidate's validation accuracy comes from the training history's
 recorded best-epoch accuracy — the restored best weights would
@@ -27,7 +28,7 @@ from repro.nn.engine import PropagationCache
 from repro.nn.modules import GCNConv, Module, Sequential
 from repro.nn.training import TrainingConfig, train_classifier
 from repro.utils.errors import ModelError
-from repro.utils.workerpool import PoolPolicy, map_supervised
+from repro.utils.workerpool import map_supervised
 
 #: builder(hidden_dims, dropout, seed) -> Module
 ModelBuilder = Callable[[Sequence[int], float, int], Module]
@@ -80,7 +81,7 @@ def _warm_propagation(model: Module, x: np.ndarray,
                       cache: PropagationCache) -> None:
     """Precompute the first convolution's ``A* @ X`` into ``cache``.
 
-    Called before forking pool workers, so every worker inherits the
+    Called before any candidate trains, so pool workers inherit the
     shared product copy-on-write instead of each recomputing it."""
     if not isinstance(model, Sequential):
         return
@@ -106,8 +107,6 @@ def grid_search(
     jobs: int = 1,
     fast_math: bool = False,
     cache: Optional[PropagationCache] = None,
-    max_worker_restarts: int = 8,
-    heartbeat_interval: float = 5.0,
 ) -> GridSearchResult:
     """Evaluate every combination and rank by validation accuracy.
 
@@ -146,17 +145,12 @@ def grid_search(
             best_epoch=history.best_epoch,
         )
 
-    if fast_math and combos and jobs != 1:
+    if fast_math and combos:
         _warm_propagation(
             builder(tuple(combos[0][0]), combos[0][1], seed), x, cache,
         )
-    policy = PoolPolicy(
-        jobs=jobs,
-        max_worker_restarts=max_worker_restarts,
-        heartbeat_interval=heartbeat_interval,
-    )
     points = map_supervised(
-        evaluate, combos, policy,
+        evaluate, combos, jobs,
         lambda combo: (f"grid candidate dims={tuple(combo[0])} "
                        f"dropout={combo[1]} lr={combo[2]}"),
     )

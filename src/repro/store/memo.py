@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.store import keys as K
 from repro.store.store import ArtifactStore
@@ -35,18 +35,15 @@ from repro.utils.errors import EcoError, ReproError, SerializationError
 logger = logging.getLogger("repro.store")
 
 
-def _resolve_policy(netlist, severity) -> tuple:
-    """Settle ``"auto"`` severity/observation exactly as the campaign
-    runner does, so keys are spelling-independent."""
-    from repro.fi.campaign import DEFAULT_SEVERITY
+def _campaign_policy(netlist, severity, collapse) -> dict:
+    """A campaign key's policy fields, ``"auto"`` settled as the
+    campaign runner settles it, so keys are spelling-independent."""
     from repro.fi.checkpoint import observation_key
-    from repro.fi.observation import observation_for, severity_for
+    from repro.fi.observation import resolve_policy
 
-    resolved = (
-        severity_for(netlist, DEFAULT_SEVERITY)
-        if severity == "auto" else float(severity)
-    )
-    return resolved, observation_key(observation_for(netlist))
+    resolved, spec = resolve_policy(netlist, severity)
+    return {"severity": resolved, "collapse": bool(collapse),
+            "observation": observation_key(spec)}
 
 
 def ensure_netlist_cached(store: ArtifactStore, netlist) -> str:
@@ -68,9 +65,8 @@ def ensure_netlist_cached(store: ArtifactStore, netlist) -> str:
 
 
 def _near_miss_campaign(store: ArtifactStore, netlist, workloads, *,
-                        severity, collapse: bool,
-                        netlist_key: str, workloads_key: str,
-                        resolved_severity: float, observation: str):
+                        severity, netlist_key: str, workloads_key: str,
+                        policy: dict):
     """Recover a campaign from a diff-compatible cached baseline.
 
     Probes campaigns with the same workload suite and policy but a
@@ -86,11 +82,8 @@ def _near_miss_campaign(store: ArtifactStore, netlist, workloads, *,
     from repro.io import load_campaign
     from repro.netlist import from_verilog
 
-    candidates = store.find(
-        "campaign", workloads=workloads_key,
-        severity=resolved_severity, collapse=bool(collapse),
-        observation=observation,
-    )
+    candidates = store.find("campaign", workloads=workloads_key,
+                            **policy)
     for key, meta in candidates:
         if meta.get("netlist") in (None, netlist_key):
             continue
@@ -108,7 +101,7 @@ def _near_miss_campaign(store: ArtifactStore, netlist, workloads, *,
         try:
             eco = run_eco_campaign(
                 base_netlist, netlist, workloads, base=base,
-                severity=severity, collapse=collapse,
+                severity=severity, collapse=policy["collapse"],
             )
         except (EcoError, ReproError) as error:
             logger.info(
@@ -125,41 +118,33 @@ def _near_miss_campaign(store: ArtifactStore, netlist, workloads, *,
     return None
 
 
-def memoized_campaign(store: ArtifactStore, netlist, workloads, *,
-                      severity="auto", collapse: bool = False,
-                      compute: Callable,
-                      netlist_key: Optional[str] = None,
-                      workloads_key: Optional[str] = None):
-    """Get-or-compute-put for one full-universe FI campaign.
+def _stored_campaign(store: ArtifactStore, key: str):
+    """The campaign stored under its exact key, or ``None``."""
+    from repro.io import load_campaign
 
-    The shared engine behind :meth:`AnalysisMemo.campaign` and the
-    ``repro campaign --store`` path: exact-key hit, then ECO
-    near-miss recovery, then cold compute.  Partial campaigns (a
-    non-empty failure ledger) are returned but never cached.
-    """
-    from repro.io import load_campaign, save_campaign
-
-    resolved_severity, observation = _resolve_policy(netlist, severity)
-    nk = netlist_key or K.netlist_key(netlist)
-    wk = workloads_key or K.workloads_key(workloads)
-    key = K.campaign_key(nk, wk, severity=resolved_severity,
-                         collapse=bool(collapse),
-                         observation=observation)
     hit = store.get(key, "campaign", load_campaign)
     if hit is not None:
         logger.info("store hit: campaign %s", key[:12])
-        return hit
+    return hit
+
+
+def _fill_campaign(store: ArtifactStore, key: str, netlist, workloads,
+                   *, severity, compute: Callable, netlist_key: str,
+                   policy: dict):
+    """Past an exact-key miss: ECO near-miss recovery, else cold
+    compute, then put under ``key``.  Partial campaigns (a non-empty
+    failure ledger) are returned but never cached."""
+    from repro.io import save_campaign
+
     # The exact key may address the suite by its generation recipe
     # (cheap on warm runs); the near-miss probe and the stored meta
     # always use the *content* identity of the vectors, which is what
     # decides ECO compatibility across netlists.
-    content_wk = (
-        wk if workloads_key is None else K.workloads_key(workloads)
-    )
+    content_wk = K.workloads_key(workloads)
     result = _near_miss_campaign(
         store, netlist, workloads, severity=severity,
-        collapse=collapse, netlist_key=nk, workloads_key=content_wk,
-        resolved_severity=resolved_severity, observation=observation,
+        netlist_key=netlist_key, workloads_key=content_wk,
+        policy=policy,
     )
     if result is None:
         result = compute()
@@ -173,16 +158,30 @@ def memoized_campaign(store: ArtifactStore, netlist, workloads, *,
     store.put(
         key, "campaign",
         lambda path: save_campaign(result, path),
-        meta={
-            "design": netlist.name,
-            "netlist": nk,
-            "workloads": content_wk,
-            "severity": resolved_severity,
-            "collapse": bool(collapse),
-            "observation": observation,
-        },
+        meta={"design": netlist.name, "netlist": netlist_key,
+              "workloads": content_wk, **policy},
     )
     return result
+
+
+def memoized_campaign(store: ArtifactStore, netlist, workloads, *,
+                      severity="auto", collapse: bool = False,
+                      compute: Callable):
+    """Get-or-compute-put for one full-universe FI campaign, keyed by
+    the netlist and the workload vectors (the ``repro campaign
+    --store`` path): exact-key hit, then ECO near-miss recovery, then
+    cold compute.  :meth:`AnalysisMemo.campaign` shares the last two.
+    """
+    netlist_key = K.netlist_key(netlist)
+    policy = _campaign_policy(netlist, severity, collapse)
+    key = K.campaign_key(netlist_key, K.workloads_key(workloads),
+                         **policy)
+    hit = _stored_campaign(store, key)
+    if hit is not None:
+        return hit
+    return _fill_campaign(store, key, netlist, workloads,
+                          severity=severity, compute=compute,
+                          netlist_key=netlist_key, policy=policy)
 
 
 class AnalysisMemo:
@@ -194,20 +193,9 @@ class AnalysisMemo:
         self._key_cache: dict = {}
 
     # -- resolved policy ----------------------------------------------
-    def _resolved_severity(self) -> float:
-        from repro.fi.campaign import DEFAULT_SEVERITY
-        from repro.fi.observation import severity_for
-
-        severity = self.analyzer.config.severity
-        if severity == "auto":
-            return severity_for(self.analyzer.netlist, DEFAULT_SEVERITY)
-        return float(severity)
-
-    def _resolved_observation(self) -> str:
-        from repro.fi.checkpoint import observation_key
-        from repro.fi.observation import observation_for
-
-        return observation_key(observation_for(self.analyzer.netlist))
+    def _campaign_policy(self) -> dict:
+        return _campaign_policy(self.analyzer.netlist,
+                                self.analyzer.config.severity, False)
 
     # -- stage keys (lazy; hashing workload bytes happens once) -------
     def _key(self, name: str, build: Callable[[], str]) -> str:
@@ -241,8 +229,7 @@ class AnalysisMemo:
     def campaign_key(self) -> str:
         return self._key("campaign", lambda: K.campaign_key(
             self.netlist_key(), self.workloads_key(),
-            severity=self._resolved_severity(), collapse=False,
-            observation=self._resolved_observation(),
+            **self._campaign_policy(),
         ))
 
     def features_key(self) -> str:
@@ -304,23 +291,18 @@ class AnalysisMemo:
         )
 
     def campaign(self, compute: Callable):
-        from repro.io import load_campaign
-
         # Exact-hit fast path before touching ``analyzer.workloads``:
         # a warm rerun must not pay for stimulus generation.
-        hit = self.store.get(self.campaign_key(), "campaign",
-                             load_campaign)
+        key = self.campaign_key()
+        hit = _stored_campaign(self.store, key)
         if hit is not None:
-            logger.info("store hit: campaign %s",
-                        self.campaign_key()[:12])
             return hit
-        return memoized_campaign(
-            self.store, self.analyzer.netlist,
+        return _fill_campaign(
+            self.store, key, self.analyzer.netlist,
             self.analyzer.workloads,
-            severity=self.analyzer.config.severity,
-            collapse=False, compute=compute,
+            severity=self.analyzer.config.severity, compute=compute,
             netlist_key=self.netlist_key(),
-            workloads_key=self.workloads_key(),
+            policy=self._campaign_policy(),
         )
 
     def features(self, compute: Callable):

@@ -3,11 +3,13 @@ thread budget.
 
 The sharded campaign engine splits a fault universe into contiguous
 shards and fans (workload group x shard) units out over worker
-processes.  This module holds the policy arithmetic — how many workers
-a host can sustain, and how many lanes one unit may carry before its
+processes.  This module holds the policy arithmetic — how many cores
+the scheduler grants, and how many lanes one unit may carry before its
 net values (``n_nets`` ints of ``8 * n_words`` bytes each) outgrow the
 shard budget — kept free of any FI vocabulary so other fan-out stages
-(feature extraction, training sweeps) can reuse it.
+(feature extraction, training sweeps) can reuse it.  How many workers
+a stage actually forks is :func:`repro.utils.workerpool.worker_count`'s
+decision alone.
 
 Parallelism comes from ``--jobs`` processes, not from BLAS threads.
 The matrices here are 16–64 columns wide, so a second OpenBLAS thread
@@ -53,20 +55,6 @@ def resolve_jobs(jobs: int) -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # platforms without sched_getaffinity
         return max(1, os.cpu_count() or 1)
-
-
-def default_jobs() -> int:
-    """Worker-process count for a stage whose caller named none.
-
-    Every usable CPU (``resolve_jobs(0)``), except where a pool cannot
-    run: without the fork start method, and inside a daemonic process
-    such as a pool worker, which multiprocessing forbids to have
-    children.  There, and on a one-CPU host, it is 1: the in-process
-    path.
-    """
-    if fork_context() is None or multiprocessing.current_process().daemon:
-        return 1
-    return resolve_jobs(0)
 
 
 def auto_shard_size(

@@ -40,6 +40,13 @@ inference, so in-flight work is precious):
   then escalates to SIGTERM/SIGKILL, so Ctrl-C drains cleanly and the
   checkpoint store stays resumable.
 
+* **One fan-out decision** — :func:`worker_count` alone turns a
+  requested ``jobs`` into a worker count, and :func:`run_units` runs
+  every stage's units on it: the campaign streams its outcomes, and
+  :func:`map_supervised` (the GCN heads, the baselines, the explainer
+  and the grid search) collects values in unit order.  Supervision
+  runs on :class:`PoolPolicy`'s defaults.
+
 Like :mod:`repro.utils.retry`, this module is free of FI vocabulary so
 any fan-out stage can reuse it.
 """
@@ -47,12 +54,12 @@ any fan-out stage can reuse it.
 from __future__ import annotations
 
 import gc
-import os
+import multiprocessing
 import signal
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -71,6 +78,29 @@ from repro.utils.parallel import fork_context, resolve_jobs
 
 #: Stop sentinel sent down a worker's pipe at shutdown.
 _STOP = None
+
+
+def worker_count(jobs: int, units: Optional[int] = None) -> int:
+    """Worker processes for ``units`` units at a requested ``jobs``.
+
+    The package's one fan-out decision: the campaign, the GCN heads,
+    the baselines, the explainer and the grid search all run on this
+    count.  ``0`` means every usable CPU, and any request is clamped
+    to the CPUs this process may run on: the units are CPU-bound, so
+    workers beyond the affinity mask only timeshare a core, adding
+    context switches and copy-on-write page churn for no throughput.
+    The count is 1, meaning in-process, without the fork start method,
+    inside a daemonic process (such as a pool worker, which
+    multiprocessing forbids to have children) and for fewer than two
+    units.
+    """
+    if jobs < 0:
+        raise CampaignError(f"jobs {jobs} must be >= 0")
+    if (fork_context() is None
+            or multiprocessing.current_process().daemon
+            or (units is not None and units < 2)):
+        return 1
+    return min(resolve_jobs(jobs), resolve_jobs(0))
 
 
 @dataclass(frozen=True)
@@ -163,6 +193,8 @@ class UnitResult:
     #: ``"TypeName: message"`` when the worker function raised.
     error: Optional[str] = None
     crash: Optional[UnitCrash] = None
+    #: The exception itself, when the unit raised in this process.
+    raised: Optional[Exception] = None
 
     @property
     def ok(self) -> bool:
@@ -284,17 +316,7 @@ class WorkerPool:
         self._context = context
         self._worker_fn = worker_fn
         self.policy = policy or PoolPolicy()
-        # Clamp to the cores this process may actually run on: the
-        # units are CPU-bound, so workers beyond the affinity mask
-        # can only timeshare a core — adding context-switch and
-        # copy-on-write page churn without any extra throughput.
-        try:
-            available = len(os.sched_getaffinity(0))
-        except (AttributeError, OSError):  # pragma: no cover - non-Linux
-            available = os.cpu_count() or 1
-        self._jobs = max(
-            1, min(resolve_jobs(self.policy.jobs), available)
-        )
+        self._jobs = worker_count(self.policy.jobs)
         self._heartbeats = context.Array(
             "d", self._jobs, lock=False
         )
@@ -529,58 +551,85 @@ def run_supervised(
     return ordered  # type: ignore[return-value]
 
 
+def run_units(
+    worker_fn: Callable[[Any], Any],
+    units: Sequence[Any],
+    jobs: int,
+    *,
+    size: Optional[Callable[[Any], float]] = None,
+) -> Iterator[UnitResult]:
+    """Run ``worker_fn`` on every unit; yield one :class:`UnitResult`
+    per unit, in completion order, as each finishes.
+
+    The units run on ``worker_count(jobs, len(units))`` workers.  On
+    one, they run in-process and in order, and an ``Exception`` that
+    ``worker_fn`` raises comes back as the result's ``raised`` (with
+    its text in ``error``), so the caller decides whether it
+    propagates.  Otherwise a :class:`WorkerPool` forks here, after
+    the caller built the state ``worker_fn`` reads, and deals the
+    units out largest ``size(unit)`` first, if given: a big unit dealt
+    last would run alone while the other workers idle.  A result's
+    ``index`` is its unit's position in ``units`` either way.
+    Closing the generator tears the pool down.
+    """
+    workers = worker_count(jobs, len(units))
+    if workers == 1:
+        for index, unit in enumerate(units):
+            try:
+                value = worker_fn(unit)
+            except Exception as error:
+                yield UnitResult(index=index, raised=error,
+                                 error=f"{type(error).__name__}: {error}")
+            else:
+                yield UnitResult(index=index, value=value)
+        return
+    order = list(range(len(units)))
+    if size is not None:
+        order.sort(key=lambda index: -size(units[index]))
+    with WorkerPool(worker_fn, PoolPolicy(jobs=workers)) as pool:
+        for result in pool.run([units[index] for index in order]):
+            index = order[result.index]
+            crash = result.crash and replace(result.crash,
+                                             unit_index=index)
+            yield replace(result, index=index, crash=crash)
+
+
 def map_supervised(
     worker_fn: Callable[[Any], Any],
     units: Sequence[Any],
-    policy: PoolPolicy,
+    jobs: int,
     describe: Callable[[Any], str],
     *,
     size: Optional[Callable[[Any], float]] = None,
     return_errors: bool = False,
 ) -> List[Any]:
-    """``[worker_fn(unit) for unit in units]``, on a pool when the
-    policy resolves to more than one worker, there is more than one
-    unit and the platform can fork; in-process otherwise.
+    """``[worker_fn(unit) for unit in units]`` through
+    :func:`run_units`, values in unit order.
 
-    A pool deals the units out largest ``size(unit)`` first, if given:
-    a big unit dealt last would run alone while the other workers
-    idle.  In-process they run in order.  Values come back in unit
-    order either way.
-
-    A unit that raised in a worker or that the pool gave up on raises
+    In-process, what ``worker_fn`` raises propagates as it is.  A unit
+    that raised in a pool worker or that the pool gave up on raises
     :class:`ModelError` naming ``describe(unit)`` (a crash's cause
-    starts ``worker_crash``); in-process, what ``worker_fn`` raises
-    propagates as it is.  With ``return_errors`` the exception takes
-    the unit's place instead, so one unit's failure does not discard
-    the other units' values.
+    starts ``worker_crash``) once every unit has finished.  With
+    ``return_errors`` the exception takes the unit's place instead, so
+    one unit's failure does not discard the other units' values.
     """
     units = list(units)
-    if (resolve_jobs(policy.jobs) <= 1 or len(units) < 2
-            or fork_context() is None):
-        if not return_errors:
-            return [worker_fn(unit) for unit in units]
-        values = []
-        for unit in units:
-            try:
-                values.append(worker_fn(unit))
-            except Exception as error:
-                values.append(error)
-        return values
-    order = list(range(len(units)))
-    if size is not None:
-        order.sort(key=lambda index: -size(units[index]))
-    outcomes = run_supervised(worker_fn, [units[i] for i in order],
-                              policy)
-    values = [None] * len(units)
-    for position, outcome in zip(order, outcomes):
-        if outcome.ok:
-            values[position] = outcome.value
-            continue
-        cause = (outcome.error
-                 or f"worker_crash: {outcome.crash.describe()}")
-        error = ModelError(f"{describe(units[position])} failed in a "
-                           f"pool worker: {cause}")
-        if not return_errors:
-            raise error
-        values[position] = error
+    values: List[Any] = [None] * len(units)
+    failed: List[int] = []
+    for result in run_units(worker_fn, units, jobs, size=size):
+        if result.ok:
+            values[result.index] = result.value
+        elif result.raised is not None:
+            if not return_errors:
+                raise result.raised
+            values[result.index] = result.raised
+        else:
+            cause = (result.error
+                     or f"worker_crash: {result.crash.describe()}")
+            values[result.index] = ModelError(
+                f"{describe(units[result.index])} failed in a pool "
+                f"worker: {cause}")
+            failed.append(result.index)
+    if failed and not return_errors:
+        raise values[min(failed)]
     return values

@@ -104,10 +104,14 @@ class TestEvaluationViews:
 
     def test_explain_nodes_jobs_match_serial(self, icfsm_analyzer):
         nodes = icfsm_analyzer.data.node_names[:4]
-        serial = icfsm_analyzer.explain_nodes(nodes)
-        forked = icfsm_analyzer.explain_nodes(
-            nodes, jobs=2, batch_size=2
+        serial = icfsm_analyzer.explainer.explain_many(nodes, jobs=1)
+        pooled = FaultCriticalityAnalyzer(
+            icfsm_analyzer.netlist, icfsm_analyzer.config, jobs=2
         )
+        # Share the trained stages: only the explainer's fan-out moves.
+        pooled._data = icfsm_analyzer.data
+        pooled._classifier = icfsm_analyzer.classifier
+        forked = pooled.explain_nodes(nodes, batch_size=2)
         for left, right in zip(serial, forked):
             assert np.array_equal(left.feature_scores,
                                   right.feature_scores)

@@ -26,10 +26,18 @@ from repro.models import GCNClassifier
 from repro.nn import TrainingConfig
 from repro.sim import design_workloads
 from repro.utils.parallel import fork_context, shard_bounds
+from repro.utils.workerpool import worker_count
 
 pytestmark = pytest.mark.skipif(
     fork_context() is None,
     reason="chaos tests require the fork start method",
+)
+
+#: With one usable CPU the units run in this process, and a kill meant
+#: for a pool worker would take the test run down instead.
+needs_pool = pytest.mark.skipif(
+    worker_count(2, units=2) < 2,
+    reason="worker kills need a two-worker pool (two usable CPUs)",
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +61,7 @@ def assert_campaigns_identical(left, right):
     assert np.array_equal(left.latent, right.latent)
 
 
+@needs_pool
 class TestCampaignChaos:
     def test_worker_kills_mid_campaign_identical_results(
         self, icfsm, suite, baseline, tmp_path, monkeypatch,
@@ -72,8 +81,7 @@ class TestCampaignChaos:
 
         # The pool forks after the patch, so workers inherit it.
         monkeypatch.setattr(CampaignRunner, "_run_unit", chaotic)
-        survived = run_campaign(icfsm, suite, jobs=2,
-                                heartbeat_interval=0.1)
+        survived = run_campaign(icfsm, suite, jobs=2)
         # Both kills actually happened.
         assert sorted(path.name for path in tmp_path.glob("killed_*")
                       ) == ["killed_0_0", "killed_2_0"]
@@ -98,7 +106,7 @@ class TestCampaignChaos:
         monkeypatch.setattr(CampaignRunner, "_run_unit", chaotic)
         survived = run_campaign(
             icfsm, suite, jobs=2, shard_size=None,
-            checkpoint_dir=checkpoints, heartbeat_interval=0.1,
+            checkpoint_dir=checkpoints,
         )
         assert flag.exists()  # the kill actually happened
         assert survived.complete
@@ -125,8 +133,7 @@ class TestCampaignChaos:
             return original(self, rows, shard)
 
         monkeypatch.setattr(CampaignRunner, "_run_unit", poison)
-        result = run_campaign(icfsm, suite, jobs=2,
-                              heartbeat_interval=0.1)
+        result = run_campaign(icfsm, suite, jobs=2)
         assert not result.complete
         # The poisoned unit packs both 40-cycle rows.
         assert [f.workload for f in result.failures] == [
@@ -147,6 +154,7 @@ class TestCampaignChaos:
                               result.latent[healthy])
 
 
+@needs_pool
 class TestExplainerChaos:
     @pytest.fixture(scope="class")
     def trained(self):
@@ -187,20 +195,19 @@ class TestExplainerChaos:
             nodes, jobs=1, batch_size=4
         )
 
-        original = ge._worker_batch
+        original = ge.GNNExplainer._explain_batch
         flag = tmp_path / "killed_once"
 
-        def chaotic(unit):
+        def chaotic(self, unit):
             if not flag.exists():
                 flag.touch()
                 os.kill(os.getpid(), signal.SIGKILL)
-            return original(unit)
+            return original(self, unit)
 
-        monkeypatch.setattr(ge, "_worker_batch", chaotic)
+        # The pool forks after the patch, so workers inherit it.
+        monkeypatch.setattr(ge.GNNExplainer, "_explain_batch", chaotic)
         explainer = ge.GNNExplainer(model, data, seed=3)
-        chaos = explainer.explain_many(
-            nodes, jobs=2, batch_size=4, heartbeat_interval=0.1,
-        )
+        chaos = explainer.explain_many(nodes, jobs=2, batch_size=4)
         assert flag.exists()  # the kill actually happened
         assert len(chaos) == len(serial)
         for left, right in zip(serial, chaos):
@@ -220,17 +227,15 @@ class TestExplainerChaos:
 
         data, model = trained
 
-        def poison(_unit):
+        def poison(_self, _unit):
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(ge, "_worker_batch", poison)
+        monkeypatch.setattr(ge.GNNExplainer, "_explain_batch", poison)
         explainer = ge.GNNExplainer(model, data, seed=3)
         with pytest.raises(ModelError,
                            match="worker_crash.*SIGKILL"):
-            explainer.explain_many(
-                list(range(8)), jobs=2, batch_size=2,
-                heartbeat_interval=0.1,
-            )
+            explainer.explain_many(list(range(8)), jobs=2,
+                                   batch_size=2)
 
 
 class TestSignalShutdown:

@@ -16,15 +16,28 @@ import pytest
 
 from repro.__main__ import main
 from repro.core import AnalyzerConfig, FaultCriticalityAnalyzer
+from repro.fi import run_campaign
 from repro.models import GCNClassifier, GCNRegressor
 from repro.store import ArtifactStore
 from repro.utils.errors import ModelError
-from repro.utils.parallel import default_jobs, fork_context, resolve_jobs
-from repro.utils.workerpool import PoolPolicy, WorkerPool, run_supervised
+from repro.utils.parallel import fork_context, resolve_jobs
+from repro.utils.workerpool import (
+    PoolPolicy,
+    WorkerPool,
+    run_supervised,
+    worker_count,
+)
 
 pytestmark = pytest.mark.skipif(
     fork_context() is None,
     reason="the worker pool requires the fork start method",
+)
+
+#: ``jobs=2`` forks only where two CPUs are usable; on one it runs
+#: in-process, and there is no pool to count or to fail in.
+needs_pool = pytest.mark.skipif(
+    worker_count(2, units=2) < 2,
+    reason="needs a two-worker pool (two usable CPUs)",
 )
 
 SMALL = dict(n_workloads=2, workload_cycles=60, seed=0)
@@ -102,6 +115,7 @@ def test_pooled_stage_matches_serial(serial_and_pooled, part):
     assert_same(pooled[part], serial[part])
 
 
+@needs_pool
 def test_only_the_pooled_analyzer_forks(serial_and_pooled):
     _, _, serial_pools, pooled_pools = serial_and_pooled
     assert serial_pools == 0
@@ -164,6 +178,7 @@ def _forbidden(self, data, split):
     raise AssertionError("a head was trained that should not be")
 
 
+@needs_pool
 def test_head_failing_in_worker_names_the_head(sdram, serial_and_pooled,
                                                monkeypatch):
     monkeypatch.setattr(GCNRegressor, "fit", _diverge)
@@ -203,12 +218,55 @@ def test_harden_trains_only_the_regressor(monkeypatch, capsys):
     assert "mission failure probability" in capsys.readouterr().out
 
 
+def _campaign_rows(campaign):
+    return (campaign.error_cycles, campaign.detection_cycle,
+            campaign.latent, campaign.failures)
+
+
+def test_one_cpu_runs_every_stage_in_process(sdram, monkeypatch):
+    """On a one-CPU affinity mask an explicit ``jobs=2`` is clamped to
+    one worker: no stage forks, no head trains that was not asked for,
+    and every value equals ``jobs=1``."""
+    grid = dict(hidden_dim_options=[(8,)], dropout_options=[0.0, 0.3],
+                lr_options=[0.01], epochs=5)
+
+    def products(analyzer):
+        return {
+            "campaign": _campaign_rows(analyzer.campaign),
+            "classifier": _head_state(analyzer.classifier),
+            "accuracies": analyzer.baseline_accuracies(),
+            "explanations": analyzer.explain_nodes(
+                analyzer.sample_explain_nodes(per_class=2)),
+            "grid": repr(analyzer.grid_search(**grid)),
+        }
+
+    config = AnalyzerConfig(**SMALL)
+    serial = FaultCriticalityAnalyzer(sdram, config, jobs=1)
+    expected = products(serial)
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a one-CPU run constructed a WorkerPool")
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda _pid: {0})
+    monkeypatch.setattr(WorkerPool, "__init__", no_pool)
+    monkeypatch.setattr(GCNRegressor, "fit", _forbidden)
+    assert_same(_campaign_rows(run_campaign(sdram, serial.workloads,
+                                            jobs=2)),
+                expected["campaign"])
+    clamped = FaultCriticalityAnalyzer(sdram, config, jobs=2)
+    assert clamped.jobs == clamped.fi_jobs == 1
+    assert_same(products(clamped), expected)
+    assert clamped._regressor is None
+
+
 def test_default_jobs_is_serial_inside_a_pool_worker(sdram):
-    assert default_jobs() == resolve_jobs(0)
+    assert worker_count(0) == resolve_jobs(0)
     assert FaultCriticalityAnalyzer(sdram).jobs == resolve_jobs(0)
-    # Pool workers are daemonic, and daemonic processes may not fork.
+    # Pool workers are daemonic, and daemonic processes may not fork:
+    # a default and an explicit request both run in-process there.
     [inside] = run_supervised(
-        lambda _unit: FaultCriticalityAnalyzer(sdram).jobs, [0],
-        PoolPolicy(jobs=1),
+        lambda _unit: (FaultCriticalityAnalyzer(sdram).jobs,
+                       FaultCriticalityAnalyzer(sdram, jobs=2).jobs),
+        [0], PoolPolicy(jobs=1),
     )
-    assert inside.ok and inside.value == 1
+    assert inside.ok and inside.value == (1, 1)

@@ -508,6 +508,25 @@ class TestMemoizedAnalysis:
         assert result is partial
         assert store.stats()["by_kind"].get("campaign") is None
 
+    def test_cold_campaign_looks_its_key_up_once(self, sdram, tmp_path,
+                                                 monkeypatch):
+        """A cold fill reads the campaign key once before generating
+        stimulus, and the store counts one miss for each stage."""
+        lookups = []
+        real_get = ArtifactStore.get
+
+        def spy(self, key, kind, reader):
+            lookups.append(kind)
+            return real_get(self, key, kind, reader)
+
+        monkeypatch.setattr(ArtifactStore, "get", spy)
+        directory = tmp_path / "store"
+        FaultCriticalityAnalyzer(
+            sdram, AnalyzerConfig(**SMALL), store=ArtifactStore(directory)
+        ).campaign
+        assert lookups == ["campaign", "workloads"]
+        assert ArtifactStore(directory).stats()["misses"] == 2
+
     # The near-miss path reads the cached base netlist back from the
     # store.  A file it leaves open raises ResourceWarning when it is
     # collected; that error is unraisable, and the second filter turns

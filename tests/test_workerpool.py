@@ -24,6 +24,7 @@ from repro.utils.workerpool import (
     UnitCrash,
     WorkerPool,
     run_supervised,
+    worker_count,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -235,3 +236,16 @@ class TestPolicyValidation:
         policy = PoolPolicy()
         assert policy.max_worker_restarts == 8
         assert policy.poison_threshold == 2
+
+
+def test_worker_count_is_the_clamped_fan_out(monkeypatch):
+    """``0`` is every usable CPU, a request above them is clamped to
+    them, and fewer than two units run in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2})
+    assert worker_count(0) == worker_count(8) == 3
+    assert worker_count(2) == worker_count(2, units=2) == 2
+    assert worker_count(2, units=1) == worker_count(1) == 1
+    with pytest.raises(CampaignError):
+        worker_count(-1)
+    pool = WorkerPool(_square, PoolPolicy(jobs=8))
+    assert pool._jobs == 3
