@@ -17,31 +17,13 @@ Quickstart::
     print(analyzer.summary())
 """
 
-from repro.circuits import (
-    build_design,
-    build_or1200_icfsm,
-    build_or1200_if,
-    build_sdram_controller,
-)
-from repro.core import AnalyzerConfig, FaultCriticalityAnalyzer, NodeReport
-from repro.explain import Explanation, GlobalImportance, GNNExplainer
-from repro.features import FEATURE_NAMES, NodeFeatures, extract_features
-from repro.fi import (
-    CriticalityDataset,
-    dataset_from_campaign,
-    generate_dataset,
-    run_campaign,
-)
-from repro.graph import GraphData, build_graph_data, stratified_split
-from repro.models import (
-    BASELINE_NAMES,
-    GCNClassifier,
-    GCNRegressor,
-    make_classifier,
-)
-from repro.netlist import Netlist, read_verilog, write_verilog
-from repro.sim import Simulator, Workload, design_workloads
-from repro.store import ArtifactStore
+import atexit
+import gc
+
+# numpy maps its OpenBLAS, which the budget below sizes to one thread.
+import numpy  # noqa: F401
+
+from repro._lazy import lazy_exports
 from repro.utils.parallel import budget_blas_threads
 
 __version__ = "1.0.0"
@@ -51,37 +33,39 @@ __version__ = "1.0.0"
 # OpenBLAS, so this is the one place the budget takes effect.
 budget_blas_threads()
 
-__all__ = [
-    "build_design",
-    "build_or1200_icfsm",
-    "build_or1200_if",
-    "build_sdram_controller",
-    "AnalyzerConfig",
-    "FaultCriticalityAnalyzer",
-    "NodeReport",
-    "Explanation",
-    "GlobalImportance",
-    "GNNExplainer",
-    "FEATURE_NAMES",
-    "NodeFeatures",
-    "extract_features",
-    "CriticalityDataset",
-    "dataset_from_campaign",
-    "generate_dataset",
-    "run_campaign",
-    "GraphData",
-    "build_graph_data",
-    "stratified_split",
-    "BASELINE_NAMES",
-    "GCNClassifier",
-    "GCNRegressor",
-    "make_classifier",
-    "ArtifactStore",
-    "Netlist",
-    "read_verilog",
-    "write_verilog",
-    "Simulator",
-    "Workload",
-    "design_workloads",
-    "__version__",
-]
+# Skip the interpreter's last full collection at exit: it walks every
+# object alive, ~0.1 s once numpy and scipy.sparse are loaded.  Frozen
+# at exit, not here, so a host program's garbage is still collected
+# while it runs; atexit handlers and stdio flushes still run.
+atexit.register(gc.freeze)
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".circuits": ("build_design",),
+    ".circuits.or1200_icfsm": ("build_or1200_icfsm",),
+    ".circuits.or1200_if": ("build_or1200_if",),
+    ".circuits.sdram": ("build_sdram_controller",),
+    ".core.config": ("AnalyzerConfig",),
+    ".core.analyzer": ("FaultCriticalityAnalyzer", "NodeReport"),
+    ".explain.explanation": ("Explanation",),
+    ".explain.aggregate": ("GlobalImportance",),
+    ".explain.gnn_explainer": ("GNNExplainer",),
+    ".features.extract": ("FEATURE_NAMES", "NodeFeatures",
+                          "extract_features"),
+    ".fi.dataset": ("CriticalityDataset", "dataset_from_campaign",
+                    "generate_dataset"),
+    ".fi.campaign": ("run_campaign",),
+    ".graph.data": ("GraphData", "build_graph_data"),
+    ".graph.split": ("stratified_split",),
+    ".models.base": ("BASELINE_NAMES", "make_classifier"),
+    ".models.gcn": ("GCNClassifier", "GCNRegressor"),
+    ".store.store": ("ArtifactStore",),
+    ".netlist.netlist": ("Netlist",),
+    ".netlist.verilog": ("read_verilog", "write_verilog"),
+    ".sim.simulator": ("Simulator",),
+    ".sim.waveform": ("Workload",),
+    ".sim.workloads": ("design_workloads",),
+}, subpackages=(
+    "circuits", "core", "explain", "features", "fi", "graph", "metrics",
+    "models", "netlist", "nn", "reporting", "sim", "store", "utils",
+))
+__all__.append("__version__")

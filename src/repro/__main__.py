@@ -26,8 +26,7 @@ import os
 import signal
 import sys
 
-from repro import AnalyzerConfig, FaultCriticalityAnalyzer, build_design
-from repro.netlist import summarize, to_verilog
+from repro import build_design
 from repro.reporting import bar_chart, render_table
 
 DESIGN_CHOICES = ("sdram", "or1200_if", "or1200_icfsm", "uart")
@@ -77,7 +76,9 @@ def _open_store(args):
     return ArtifactStore(args.store)
 
 
-def _make_analyzer(args) -> FaultCriticalityAnalyzer:
+def _make_analyzer(args):
+    from repro import AnalyzerConfig, FaultCriticalityAnalyzer
+
     config = AnalyzerConfig(
         seed=args.seed, n_workloads=args.workloads,
         workload_cycles=args.cycles,
@@ -88,6 +89,8 @@ def _make_analyzer(args) -> FaultCriticalityAnalyzer:
 
 
 def cmd_designs(_args) -> int:
+    from repro.netlist import summarize
+
     rows = [
         summarize(build_design(name)).as_dict()
         for name in DESIGN_CHOICES
@@ -417,6 +420,8 @@ def cmd_store(args) -> int:
 
 
 def cmd_verilog(args) -> int:
+    from repro.netlist import to_verilog
+
     design = build_design(args.design)
     text = to_verilog(design)
     if args.out:

@@ -2,47 +2,31 @@
 evaluation designs (SDRAM controller, OR1200 IF, OR1200 ICFSM), and
 the additional UART validation subject."""
 
-from repro.circuits.builder import Bus, CircuitBuilder
-from repro.circuits.fsm import FsmInstance, FsmSpec, parse_guard, synthesize_fsm
-from repro.circuits.grid import build_fsm_grid
-from repro.circuits.library import (
-    CounterPorts,
-    FifoPorts,
-    fifo_controller,
-    TimerPorts,
-    down_timer,
-    lfsr,
-    shift_register,
-    up_counter,
-)
-from repro.circuits.or1200_icfsm import build_or1200_icfsm
-from repro.circuits.or1200_if import build_or1200_if
-from repro.circuits.random_circuits import random_netlist
-from repro.circuits.sdram import build_sdram_controller
-from repro.circuits.uart import build_uart
+import sys
 
-__all__ = [
-    "Bus",
-    "CircuitBuilder",
-    "FsmInstance",
-    "FsmSpec",
-    "parse_guard",
-    "synthesize_fsm",
-    "CounterPorts",
-    "FifoPorts",
-    "fifo_controller",
-    "TimerPorts",
-    "down_timer",
-    "lfsr",
-    "shift_register",
-    "up_counter",
-    "build_fsm_grid",
-    "build_or1200_icfsm",
-    "build_or1200_if",
-    "random_netlist",
-    "build_sdram_controller",
-    "build_uart",
-]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".builder": ("Bus", "CircuitBuilder"),
+    ".fsm": ("FsmInstance", "FsmSpec", "parse_guard", "synthesize_fsm"),
+    ".library": ("CounterPorts", "FifoPorts", "fifo_controller",
+                 "TimerPorts", "down_timer", "lfsr", "shift_register",
+                 "up_counter"),
+    ".grid": ("build_fsm_grid",),
+    ".or1200_icfsm": ("build_or1200_icfsm",),
+    ".or1200_if": ("build_or1200_if",),
+    ".random_circuits": ("random_netlist",),
+    ".sdram": ("build_sdram_controller",),
+    ".uart": ("build_uart",),
+})
+
+#: The bundled designs' builders by short name.
+_BUILDERS = {
+    "sdram": "build_sdram_controller",
+    "or1200_if": "build_or1200_if",
+    "or1200_icfsm": "build_or1200_icfsm",
+    "uart": "build_uart",
+}
 
 
 def build_design(name: str, **kwargs):
@@ -50,16 +34,11 @@ def build_design(name: str, **kwargs):
 
     Accepted names: ``"sdram"``, ``"or1200_if"``, ``"or1200_icfsm"``
     (the paper's three evaluation designs) and ``"uart"`` (the
-    additional validation subject).
+    additional validation subject).  Only that design's builder is
+    imported.
     """
-    builders = {
-        "sdram": build_sdram_controller,
-        "or1200_if": build_or1200_if,
-        "or1200_icfsm": build_or1200_icfsm,
-        "uart": build_uart,
-    }
-    if name not in builders:
+    if name not in _BUILDERS:
         raise KeyError(
-            f"unknown design {name!r}; choose from {sorted(builders)}"
+            f"unknown design {name!r}; choose from {sorted(_BUILDERS)}"
         )
-    return builders[name](**kwargs)
+    return getattr(sys.modules[__name__], _BUILDERS[name])(**kwargs)

@@ -1,16 +1,9 @@
 """End-to-end pipeline (Figure 2): configuration and the
 FaultCriticalityAnalyzer orchestrator."""
 
-from repro.core.analyzer import (
-    EcoAnalysis,
-    FaultCriticalityAnalyzer,
-    NodeReport,
-)
-from repro.core.config import AnalyzerConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EcoAnalysis",
-    "FaultCriticalityAnalyzer",
-    "NodeReport",
-    "AnalyzerConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".analyzer": ("EcoAnalysis", "FaultCriticalityAnalyzer", "NodeReport"),
+    ".config": ("AnalyzerConfig",),
+})

@@ -23,46 +23,33 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import AnalyzerConfig
-from repro.explain import (
-    Explanation,
-    GlobalImportance,
-    GNNExplainer,
-    aggregate_importance,
-)
-from repro.features import NodeFeatures, extract_features, patch_features
-from repro.fi import (
-    CampaignResult,
-    CriticalityDataset,
-    EcoResult,
-    dataset_from_campaign,
-    run_campaign,
-    run_eco_campaign,
-)
-from repro.graph import GraphData, Split, build_graph_data, stratified_split
-from repro.metrics import (
-    ConfusionMatrix,
-    RocCurve,
-    accuracy,
-    classification_conformity,
-    pearson,
-    roc_curve,
-)
-from repro.models import (
-    BASELINE_NAMES,
-    GCNClassifier,
-    GCNRegressor,
-    make_classifier,
-)
+from repro.explain.aggregate import GlobalImportance, aggregate_importance
+from repro.explain.explanation import Explanation
+from repro.features.extract import NodeFeatures, extract_features
+from repro.features.incremental import patch_features
+from repro.fi.campaign import CampaignResult, run_campaign
+from repro.fi.dataset import CriticalityDataset, dataset_from_campaign
+from repro.fi.eco import EcoResult, run_eco_campaign
+from repro.graph.data import GraphData, build_graph_data
+from repro.graph.split import Split, stratified_split
+from repro.metrics.classification import ConfusionMatrix
+from repro.metrics.regression import classification_conformity, pearson
+from repro.metrics.roc import RocCurve, roc_curve
+from repro.models.base import BASELINE_NAMES, make_classifier
+from repro.models.gcn import GCNClassifier, GCNRegressor
 from repro.netlist.netlist import Netlist
-from repro.sim import Workload, design_workloads
+from repro.sim.waveform import Workload
 from repro.utils.errors import ModelError
 from repro.utils.rng import derive_rng
 from repro.utils.workerpool import map_supervised, worker_count
+
+if TYPE_CHECKING:
+    from repro.explain.gnn_explainer import GNNExplainer
 
 logger = logging.getLogger("repro.core")
 
@@ -224,15 +211,17 @@ class FaultCriticalityAnalyzer:
     def workloads(self) -> List[Workload]:
         """The diverse workload suite (generated on first use)."""
         if self._workloads is None:
-            self._workloads = list(self._memoized(
-                "workloads",
-                lambda: design_workloads(
+            def generate() -> List[Workload]:
+                from repro.sim.workloads import design_workloads
+
+                return design_workloads(
                     self.netlist.name, self.netlist,
                     count=self.config.n_workloads,
                     cycles=self.config.workload_cycles,
                     seed=self.config.seed,
-                ),
-            ))
+                )
+
+            self._workloads = list(self._memoized("workloads", generate))
         return self._workloads
 
     @property
@@ -364,9 +353,10 @@ class FaultCriticalityAnalyzer:
                 return
 
         data, split = self.data, self.split
-        # Forked workers inherit the propagation matrix instead of
-        # each building its own.
+        # Forked workers inherit the propagation matrix and the
+        # training engine's code instead of each building its own.
         data.a_norm(self.config.adjacency_mode, self.config.self_loops)
+        from repro.nn import engine  # noqa: F401
 
         def train(head: str):
             model = missing[head].fit(data, split)
@@ -480,6 +470,8 @@ class FaultCriticalityAnalyzer:
     def explainer(self) -> GNNExplainer:
         """GNNExplainer bound to the trained classifier."""
         if self._explainer is None:
+            from repro.explain.gnn_explainer import GNNExplainer
+
             self._explainer = GNNExplainer(
                 self.classifier, self.data,
                 seed=(self.config.seed, "explainer"),
@@ -534,15 +526,17 @@ class FaultCriticalityAnalyzer:
         """``measure(model, x_val, y_val)`` of each baseline fitted on
         the training fold, one pool unit per baseline."""
         data, split = self.data, self.split
+        # Built here, so forked workers share the baselines' code.
+        models = {name: make_classifier(name) for name in names}
 
         def fit(name: str):
-            model = make_classifier(name)
+            model = models[name]
             model.fit(data.x[split.train_mask],
                       data.y_class[split.train_mask])
             return measure(model, data.x[split.val_mask],
                            data.y_class[split.val_mask])
 
-        names = list(names)
+        names = list(models)
         return dict(zip(names, map_supervised(
             fit, names, self.jobs, lambda name: f"baseline {name}")))
 

@@ -1,22 +1,11 @@
 """Explainability: GNNExplainer and global feature-importance
 aggregation (Eq. 3)."""
 
-from repro.explain.aggregate import (
-    GlobalImportance,
-    aggregate_importance,
-    combine_importance,
-)
-from repro.explain.gnn_explainer import (
-    ExplainerConfig,
-    Explanation,
-    GNNExplainer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GlobalImportance",
-    "aggregate_importance",
-    "combine_importance",
-    "ExplainerConfig",
-    "Explanation",
-    "GNNExplainer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".aggregate": ("GlobalImportance", "aggregate_importance",
+                   "combine_importance"),
+    ".explanation": ("ExplainerConfig", "Explanation"),
+    ".gnn_explainer": ("GNNExplainer",),
+})

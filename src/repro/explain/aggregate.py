@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.explain.gnn_explainer import Explanation
+from repro.explain.explanation import Explanation
 from repro.utils.errors import ModelError
 
 

@@ -49,13 +49,13 @@ Memory scales with ``batch_size x subgraph_width``: one batch holds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
+from repro.explain.explanation import ExplainerConfig, Explanation
 from repro.graph.data import GraphData
 from repro.models.gcn import GCNClassifier
 from repro.netlist.netlist import csr_gather
@@ -69,48 +69,6 @@ from repro.utils.workerpool import map_supervised
 #: per-epoch numpy dispatch over many masks, small enough that one
 #: batch's activations stay a few MiB even at 500-node subgraphs.
 DEFAULT_BATCH_SIZE = 16
-
-
-@dataclass
-class ExplainerConfig:
-    """GNNExplainer optimization settings."""
-
-    epochs: int = 200
-    lr: float = 0.05
-    edge_size_weight: float = 0.005   # lambda: edge mask L1
-    edge_entropy_weight: float = 0.1
-    # The feature-size penalty dominates the feature-entropy term so
-    # features the prediction does not rely on decay toward 0 instead
-    # of being pushed to whichever pole they drift near.
-    feature_size_weight: float = 0.2
-    feature_entropy_weight: float = 0.02
-
-
-@dataclass
-class Explanation:
-    """Explanation of one node's prediction.
-
-    ``feature_scores`` are normalized to mean 1 over the features, so a
-    score of ~3 reads "three times the average importance" (matching
-    the scale of the paper's Table 2 / Figure 5a).
-    """
-
-    node_name: str
-    node_index: int
-    predicted_class: int
-    feature_names: List[str]
-    feature_scores: np.ndarray
-    subgraph_nodes: List[int]
-    #: (source, target, mask weight) over the computation subgraph
-    edge_importance: List[Tuple[int, int, float]]
-
-    def feature_ranking(self) -> List[int]:
-        """Feature indices sorted most-important first."""
-        return list(np.argsort(-self.feature_scores))
-
-    def top_edges(self, count: int = 10) -> List[Tuple[int, int, float]]:
-        """Highest-weight subgraph edges."""
-        return sorted(self.edge_importance, key=lambda e: -e[2])[:count]
 
 
 def _sigmoid(values: np.ndarray) -> np.ndarray:

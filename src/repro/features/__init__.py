@@ -1,47 +1,16 @@
 """Node feature extraction: structural descriptors and signal
 probabilities (simulation-based and analytic COP)."""
 
-from repro.features.extract import (
-    EXTENDED_FEATURE_NAMES,
-    FEATURE_NAMES,
-    NodeFeatures,
-    extract_features,
-)
-from repro.features.incremental import patch_features
-from repro.features.probability import (
-    ProbabilityFeatures,
-    cop_probabilities,
-    from_golden_stats,
-    simulate_probabilities,
-)
-from repro.features.scoap import ScoapMeasures, compute_scoap
-from repro.features.structural import (
-    connection_counts,
-    fanin_counts,
-    fanout_counts,
-    inverting_tags,
-    is_sequential_flags,
-    logic_levels,
-    output_distances,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXTENDED_FEATURE_NAMES",
-    "FEATURE_NAMES",
-    "NodeFeatures",
-    "extract_features",
-    "patch_features",
-    "ProbabilityFeatures",
-    "cop_probabilities",
-    "from_golden_stats",
-    "simulate_probabilities",
-    "ScoapMeasures",
-    "compute_scoap",
-    "connection_counts",
-    "fanin_counts",
-    "fanout_counts",
-    "inverting_tags",
-    "is_sequential_flags",
-    "logic_levels",
-    "output_distances",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".extract": ("EXTENDED_FEATURE_NAMES", "FEATURE_NAMES",
+                 "NodeFeatures", "extract_features"),
+    ".incremental": ("patch_features",),
+    ".probability": ("ProbabilityFeatures", "cop_probabilities",
+                     "from_golden_stats", "simulate_probabilities"),
+    ".scoap": ("ScoapMeasures", "compute_scoap"),
+    ".structural": ("connection_counts", "fanin_counts", "fanout_counts",
+                    "inverting_tags", "is_sequential_flags",
+                    "logic_levels", "output_distances"),
+})

@@ -16,13 +16,15 @@ intrinsic transition probability — are computed two ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.netlist.netlist import Netlist
-from repro.sim.bitparallel import BitParallelSimulator, GoldenStats
 from repro.sim.waveform import Workload
+
+if TYPE_CHECKING:
+    from repro.sim.bitparallel import GoldenStats
 
 
 @dataclass
@@ -52,6 +54,8 @@ def simulate_probabilities(
     workloads: Sequence[Workload],
 ) -> ProbabilityFeatures:
     """Simulation-based probabilities from golden runs of ``workloads``."""
+    from repro.sim.bitparallel import BitParallelSimulator
+
     stats = BitParallelSimulator(netlist).golden_stats(workloads)
     return from_golden_stats(netlist, stats)
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.fi.campaign import CampaignResult
 from repro.netlist.netlist import Netlist
-from repro.sim.bitparallel import BitParallelSimulator, Upset, cycle_groups
 from repro.sim.waveform import Workload
 from repro.utils.errors import SimulationError
 from repro.utils.rng import SeedLike, derive_rng
@@ -103,6 +102,11 @@ def run_transient_campaign(
     the first half of the run so this rate is attainable).
     """
     from repro.fi.observation import ObservationSpec, resolve_policy
+    from repro.sim.bitparallel import (
+        BitParallelSimulator,
+        Upset,
+        cycle_groups,
+    )
 
     if not workloads:
         raise SimulationError("campaign needs at least one workload")

@@ -1,24 +1,11 @@
 """Graph construction: netlist-to-graph translation, adjacency
 normalization (Eq. 2), the GraphData container, and node splits."""
 
-from repro.graph.adjacency import adjacency_matrix, normalized_adjacency
-from repro.graph.build import (
-    netlist_edges,
-    netlist_to_networkx,
-    undirected_edges,
-)
-from repro.graph.data import GraphData, build_graph_data
-from repro.graph.split import Split, kfold_splits, stratified_split
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "adjacency_matrix",
-    "normalized_adjacency",
-    "netlist_edges",
-    "netlist_to_networkx",
-    "undirected_edges",
-    "GraphData",
-    "build_graph_data",
-    "Split",
-    "kfold_splits",
-    "stratified_split",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".adjacency": ("adjacency_matrix", "normalized_adjacency"),
+    ".build": ("netlist_edges", "netlist_to_networkx", "undirected_edges"),
+    ".data": ("GraphData", "build_graph_data"),
+    ".split": ("Split", "kfold_splits", "stratified_split"),
+})

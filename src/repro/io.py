@@ -27,7 +27,16 @@ import zipfile
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    BinaryIO,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Union,
+)
 
 import numpy as np
 
@@ -35,15 +44,16 @@ from repro.fi.campaign import CampaignResult, WorkloadFailure
 from repro.fi.dataset import CriticalityDataset
 from repro.fi.faults import Fault
 from repro.fi.transient import TransientFault
-from repro.graph.data import GraphData
-from repro.graph.split import Split
-from repro.models.gcn import GCNClassifier, GCNRegressor
 from repro.utils.errors import (
     CorruptArtifactError,
     ModelError,
     ReproError,
     SerializationError,
 )
+
+if TYPE_CHECKING:
+    from repro.graph.data import GraphData
+    from repro.graph.split import Split
 
 PathLike = Union[str, Path]
 
@@ -599,6 +609,8 @@ def load_dataset(path: PathLike) -> CriticalityDataset:
 def save_gcn(model, path: PathLike) -> None:
     """Write a fitted GCN classifier/regressor's weights and
     architecture to an ``.npz`` archive."""
+    from repro.models.gcn import GCNRegressor
+
     if model.model is None:
         raise ReproError("cannot save an unfitted model")
     metadata = {
@@ -623,6 +635,8 @@ def load_gcn(path: PathLike, data: GraphData):
     the design's propagation matrix, and its weights restored — ready
     for :meth:`predict` without retraining.
     """
+    from repro.models.gcn import GCNClassifier, GCNRegressor
+
     with open_archive(
         path, "GCN",
         required=("kind", "hidden_dims", "dropout", "adjacency_mode",
@@ -665,6 +679,8 @@ def save_split(split: Split, path: PathLike) -> None:
 
 def load_split(path: PathLike) -> Split:
     """Read a split written by :func:`save_split`."""
+    from repro.graph.split import Split
+
     with open_archive(path, "split") as archive:
         return Split(train_mask=archive.array("train_mask", "b"),
                      val_mask=archive.array("val_mask", "b"))
@@ -759,6 +775,8 @@ def save_graph_data(data: GraphData, path: PathLike) -> None:
 
 def load_graph_data(path: PathLike) -> GraphData:
     """Read graph data written by :func:`save_graph_data` (validated)."""
+    from repro.graph.data import GraphData
+
     with open_archive(path, "graph-data",
                       required=("design", "node_names",
                                 "feature_names")) as archive:
@@ -830,7 +848,7 @@ def save_explanations(explanations: List, path: PathLike) -> None:
 
 def load_explanations(path: PathLike) -> List:
     """Read reports written by :func:`save_explanations` (validated)."""
-    from repro.explain.gnn_explainer import Explanation
+    from repro.explain.explanation import Explanation
 
     with open_archive(path, "explanations",
                       required=("node_names", "node_indices",

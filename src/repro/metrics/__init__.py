@@ -1,37 +1,12 @@
 """Evaluation metrics: accuracy/confusion/TPR/FPR, ROC + AUC, and
 regression/agreement scores."""
 
-from repro.metrics.classification import (
-    ConfusionMatrix,
-    accuracy,
-    balanced_accuracy,
-)
-from repro.metrics.regression import (
-    classification_conformity,
-    mae,
-    mse,
-    pearson,
-    r2,
-    spearman,
-)
-from repro.metrics.roc import RocCurve, auc_score, average_curves, roc_curve
-from repro.metrics.significance import McNemarResult, mcnemar_test, pooled_mcnemar
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfusionMatrix",
-    "accuracy",
-    "balanced_accuracy",
-    "classification_conformity",
-    "mae",
-    "mse",
-    "pearson",
-    "r2",
-    "spearman",
-    "RocCurve",
-    "auc_score",
-    "average_curves",
-    "roc_curve",
-    "McNemarResult",
-    "mcnemar_test",
-    "pooled_mcnemar",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".classification": ("ConfusionMatrix", "accuracy", "balanced_accuracy"),
+    ".regression": ("classification_conformity", "mae", "mse", "pearson",
+                    "r2", "spearman"),
+    ".roc": ("RocCurve", "auc_score", "average_curves", "roc_curve"),
+    ".significance": ("McNemarResult", "mcnemar_test", "pooled_mcnemar"),
+})

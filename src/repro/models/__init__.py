@@ -1,47 +1,17 @@
 """Models: the paper's GCN classifier/regressor plus the five
 feature-vector baselines (MLP, LoR, RFC, SVM, EBM)."""
 
-from repro.models.base import (
-    BaseClassifier,
-    make_classifier,
-    register_classifier,
-    registered_classifiers,
-)
-from repro.models.ebm import ExplainableBoostingMachine
-from repro.models.gcn import (
-    DEFAULT_DROPOUT,
-    DEFAULT_HIDDEN_DIMS,
-    GCNClassifier,
-    GCNRegressor,
-    build_gcn_stack,
-)
-from repro.models.logistic import LogisticRegression
-from repro.models.mlp import MLPClassifier
-from repro.models.random_forest import DecisionTree, RandomForestClassifier
-from repro.models.sgc import SGCClassifier
-from repro.models.svm import SVMClassifier, linear_kernel, rbf_kernel
+from repro._lazy import lazy_exports
 
-#: Baseline names in the order Figure 3 plots them.
-BASELINE_NAMES = ("MLP", "LoR", "RFC", "SVM", "EBM")
-
-__all__ = [
-    "BaseClassifier",
-    "make_classifier",
-    "register_classifier",
-    "registered_classifiers",
-    "ExplainableBoostingMachine",
-    "DEFAULT_DROPOUT",
-    "DEFAULT_HIDDEN_DIMS",
-    "GCNClassifier",
-    "GCNRegressor",
-    "build_gcn_stack",
-    "LogisticRegression",
-    "MLPClassifier",
-    "DecisionTree",
-    "RandomForestClassifier",
-    "SGCClassifier",
-    "SVMClassifier",
-    "linear_kernel",
-    "rbf_kernel",
-    "BASELINE_NAMES",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("BaseClassifier", "make_classifier", "register_classifier",
+              "registered_classifiers", "BASELINE_NAMES"),
+    ".ebm": ("ExplainableBoostingMachine",),
+    ".gcn": ("DEFAULT_DROPOUT", "DEFAULT_HIDDEN_DIMS", "GCNClassifier",
+             "GCNRegressor", "build_gcn_stack"),
+    ".logistic": ("LogisticRegression",),
+    ".mlp": ("MLPClassifier",),
+    ".random_forest": ("DecisionTree", "RandomForestClassifier"),
+    ".sgc": ("SGCClassifier",),
+    ".svm": ("SVMClassifier", "linear_kernel", "rbf_kernel"),
+})

@@ -9,6 +9,7 @@ information".
 
 from __future__ import annotations
 
+import importlib
 from typing import Dict, Type
 
 import numpy as np
@@ -53,6 +54,18 @@ class BaseClassifier:
 
 _REGISTRY: Dict[str, Type[BaseClassifier]] = {}
 
+#: Each baseline's module, whose import registers it.
+_BASELINE_MODULES = {
+    "MLP": "repro.models.mlp",
+    "LoR": "repro.models.logistic",
+    "RFC": "repro.models.random_forest",
+    "SVM": "repro.models.svm",
+    "EBM": "repro.models.ebm",
+}
+
+#: Baseline names in the order Figure 3 plots them.
+BASELINE_NAMES = tuple(_BASELINE_MODULES)
+
 
 def register_classifier(name: str):
     """Class decorator adding a baseline to the registry used by the
@@ -67,14 +80,20 @@ def register_classifier(name: str):
 
 
 def make_classifier(name: str, **kwargs) -> BaseClassifier:
-    """Instantiate a registered baseline by short name."""
+    """Instantiate a registered baseline by short name (importing only
+    that baseline's module)."""
+    if name in _BASELINE_MODULES:
+        importlib.import_module(_BASELINE_MODULES[name])
     if name not in _REGISTRY:
         raise ModelError(
-            f"unknown classifier {name!r}; known: {sorted(_REGISTRY)}"
+            f"unknown classifier {name!r}; known: "
+            f"{sorted(registered_classifiers())}"
         )
     return _REGISTRY[name](**kwargs)
 
 
 def registered_classifiers() -> Dict[str, Type[BaseClassifier]]:
-    """The registry (name -> class)."""
+    """The registry (name -> class), the five baselines included."""
+    for module in _BASELINE_MODULES.values():
+        importlib.import_module(module)
     return dict(_REGISTRY)

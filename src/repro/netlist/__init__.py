@@ -1,56 +1,19 @@
 """Gate-level netlist substrate: cells, data model, Verilog I/O."""
 
-from repro.netlist.cells import (
-    Cell,
-    LIBRARY,
-    combinational_cells,
-    get_cell,
-    sequential_cells,
-)
-from repro.netlist.diff import GateChange, NetlistDiff, diff_netlists
-from repro.netlist.netlist import Gate, GateAdjacency, Net, Netlist
-from repro.netlist.stats import NetlistStats, summarize
-from repro.netlist.equivalence import (
-    Counterexample,
-    EquivalenceResult,
-    check_equivalence,
-)
-from repro.netlist.optimize import OptimizeReport, optimize_netlist
-from repro.netlist.transform import harden_nodes, hardened_node_names
-from repro.netlist.validate import check, validate
-from repro.netlist.verilog import (
-    from_verilog,
-    read_verilog,
-    to_verilog,
-    write_verilog,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cell",
-    "LIBRARY",
-    "combinational_cells",
-    "get_cell",
-    "sequential_cells",
-    "Gate",
-    "GateAdjacency",
-    "GateChange",
-    "Net",
-    "Netlist",
-    "NetlistDiff",
-    "diff_netlists",
-    "NetlistStats",
-    "summarize",
-    "Counterexample",
-    "EquivalenceResult",
-    "check_equivalence",
-    "OptimizeReport",
-    "optimize_netlist",
-    "harden_nodes",
-    "hardened_node_names",
-    "check",
-    "validate",
-    "from_verilog",
-    "read_verilog",
-    "to_verilog",
-    "write_verilog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cells": ("Cell", "LIBRARY", "combinational_cells", "get_cell",
+               "sequential_cells"),
+    ".netlist": ("Gate", "GateAdjacency", "Net", "Netlist"),
+    ".diff": ("GateChange", "NetlistDiff", "diff_netlists"),
+    ".stats": ("NetlistStats", "summarize"),
+    ".equivalence": ("Counterexample", "EquivalenceResult",
+                     "check_equivalence"),
+    ".optimize": ("OptimizeReport", "optimize_netlist"),
+    ".transform": ("harden_nodes", "hardened_node_names"),
+    # The function shadows its module's name, as the eager import did.
+    ".validate": ("check", "validate"),
+    ".verilog": ("from_verilog", "read_verilog", "to_verilog",
+                 "write_verilog"),
+})

@@ -20,13 +20,24 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.netlist.cells import Cell, FEEDBACK_PORTS, get_cell
-from repro.netlist.compiled import CompiledNetlist, compile_netlist
 from repro.utils.errors import NetlistError
+
+if TYPE_CHECKING:
+    from repro.netlist.compiled import CompiledNetlist
 
 
 def csr_gather(indptr: np.ndarray, indices: np.ndarray,
@@ -712,6 +723,8 @@ class Netlist:
         cached until :meth:`invalidate_structure`."""
         self._flush_dirty()
         if self._compiled_cache is None:
+            from repro.netlist.compiled import compile_netlist
+
             self._compiled_cache = compile_netlist(self)
         return self._compiled_cache
 

@@ -1,64 +1,18 @@
 """From-scratch neural-network engine (numpy): modules with explicit
 backward passes, losses, optimizers, training loops, and grid search."""
 
-from repro.nn.engine import (
-    PropagationCache,
-    TrainingWorkspace,
-    compile_workspace,
-)
-from repro.nn.gridsearch import GridPoint, GridSearchResult, grid_search
-from repro.nn.init import glorot_uniform
-from repro.nn.losses import bce_with_logits, mse_loss, nll_loss
-from repro.nn.modules import (
-    Dropout,
-    GCNConv,
-    Linear,
-    LogSoftmax,
-    Module,
-    Parameter,
-    ReLU,
-    SAGEConv,
-    Sequential,
-    Sigmoid,
-    Tanh,
-    functional_plan,
-)
-from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.training import (
-    TrainingConfig,
-    TrainingHistory,
-    train_classifier,
-    train_regressor,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PropagationCache",
-    "TrainingWorkspace",
-    "compile_workspace",
-    "GridPoint",
-    "GridSearchResult",
-    "grid_search",
-    "glorot_uniform",
-    "bce_with_logits",
-    "mse_loss",
-    "nll_loss",
-    "Dropout",
-    "GCNConv",
-    "Linear",
-    "LogSoftmax",
-    "Module",
-    "Parameter",
-    "ReLU",
-    "SAGEConv",
-    "Sequential",
-    "Sigmoid",
-    "Tanh",
-    "functional_plan",
-    "SGD",
-    "Adam",
-    "Optimizer",
-    "TrainingConfig",
-    "TrainingHistory",
-    "train_classifier",
-    "train_regressor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("PropagationCache", "TrainingWorkspace",
+                "compile_workspace"),
+    ".gridsearch": ("GridPoint", "GridSearchResult", "grid_search"),
+    ".init": ("glorot_uniform",),
+    ".losses": ("bce_with_logits", "mse_loss", "nll_loss"),
+    ".modules": ("Dropout", "GCNConv", "Linear", "LogSoftmax", "Module",
+                 "Parameter", "ReLU", "SAGEConv", "Sequential", "Sigmoid",
+                 "Tanh", "functional_plan"),
+    ".optim": ("SGD", "Adam", "Optimizer"),
+    ".training": ("TrainingConfig", "TrainingHistory", "train_classifier",
+                  "train_regressor"),
+})

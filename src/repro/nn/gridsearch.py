@@ -20,15 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.engine import PropagationCache
 from repro.nn.modules import GCNConv, Module, Sequential
 from repro.nn.training import TrainingConfig, train_classifier
 from repro.utils.errors import ModelError
 from repro.utils.workerpool import map_supervised
+
+if TYPE_CHECKING:
+    from repro.nn.engine import PropagationCache
 
 #: builder(hidden_dims, dropout, seed) -> Module
 ModelBuilder = Callable[[Sequence[int], float, int], Module]
@@ -116,6 +118,9 @@ def grid_search(
     kernels and shared first-layer propagation ``cache`` — one product
     amortized across the whole grid.
     """
+    # Imported here, before any pool forks, so workers share its code.
+    from repro.nn.engine import PropagationCache
+
     combos = list(product(hidden_dim_options, dropout_options, lr_options))
     if cache is None:
         cache = PropagationCache()

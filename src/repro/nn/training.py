@@ -16,21 +16,17 @@ remains the fallback for everything the workspace can't compile
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.nn.engine import (
-    ClassifierObjective,
-    PropagationCache,
-    RegressorObjective,
-    compile_workspace,
-    pack_parameters,
-)
 from repro.nn.losses import mse_loss, nll_loss
 from repro.nn.modules import Module
 from repro.nn.optim import Adam, Optimizer, SGD
 from repro.utils.errors import ModelError
+
+if TYPE_CHECKING:
+    from repro.nn.engine import PropagationCache
 
 
 @dataclass
@@ -176,6 +172,8 @@ def _compile(model: Module, x: np.ndarray, config: TrainingConfig,
         return None
     if config.engine != "auto":
         raise ModelError(f"unknown engine {config.engine!r}")
+    from repro.nn.engine import compile_workspace
+
     return compile_workspace(model, x, fast_math=config.fast_math,
                              cache=cache)
 
@@ -197,6 +195,8 @@ def train_classifier(
     shared :class:`~repro.nn.engine.PropagationCache` (used by the
     engine's fast-math first layer).
     """
+    from repro.nn.engine import ClassifierObjective, pack_parameters
+
     config = config or TrainingConfig()
     history = TrainingHistory()
     monitor_mask = val_mask if val_mask is not None else train_mask
@@ -278,6 +278,8 @@ def train_regressor(
     The validation metric is negative MSE (higher is better, so early
     stopping shares the classifier's logic).
     """
+    from repro.nn.engine import RegressorObjective, pack_parameters
+
     config = config or TrainingConfig()
     history = TrainingHistory()
     monitor_mask = val_mask if val_mask is not None else train_mask

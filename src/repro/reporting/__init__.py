@@ -1,6 +1,8 @@
 """Terminal rendering for benchmark reports: tables, bar charts, ROC."""
 
-from repro.reporting.figures import bar_chart, grouped_bar_chart, roc_ascii
-from repro.reporting.tables import render_table
+from repro._lazy import lazy_exports
 
-__all__ = ["bar_chart", "grouped_bar_chart", "roc_ascii", "render_table"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".figures": ("bar_chart", "grouped_bar_chart", "roc_ascii"),
+    ".tables": ("render_table",),
+})

@@ -6,50 +6,13 @@ See :mod:`repro.store.store` for the on-disk contract,
 :mod:`repro.store.memo` for the analyzer glue.
 """
 
-from repro.store.keys import (
-    STORE_SCHEMA,
-    baselines_key,
-    campaign_key,
-    classifier_key,
-    dataset_key,
-    explanations_key,
-    features_key,
-    graph_key,
-    gridsearch_key,
-    netlist_key,
-    regressor_key,
-    stage_key,
-    workloads_key,
-)
-from repro.store.memo import (
-    AnalysisMemo,
-    ensure_netlist_cached,
-    memoized_campaign,
-)
-from repro.store.store import (
-    DEFAULT_BYTE_BUDGET,
-    KIND_EXTENSIONS,
-    ArtifactStore,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "AnalysisMemo",
-    "memoized_campaign",
-    "ensure_netlist_cached",
-    "DEFAULT_BYTE_BUDGET",
-    "KIND_EXTENSIONS",
-    "STORE_SCHEMA",
-    "stage_key",
-    "netlist_key",
-    "workloads_key",
-    "campaign_key",
-    "features_key",
-    "dataset_key",
-    "graph_key",
-    "classifier_key",
-    "regressor_key",
-    "explanations_key",
-    "gridsearch_key",
-    "baselines_key",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".store": ("ArtifactStore", "DEFAULT_BYTE_BUDGET", "KIND_EXTENSIONS"),
+    ".memo": ("AnalysisMemo", "memoized_campaign", "ensure_netlist_cached"),
+    ".keys": ("STORE_SCHEMA", "stage_key", "netlist_key", "workloads_key",
+              "campaign_key", "features_key", "dataset_key", "graph_key",
+              "classifier_key", "regressor_key", "explanations_key",
+              "gridsearch_key", "baselines_key"),
+})

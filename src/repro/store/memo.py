@@ -367,7 +367,7 @@ class AnalysisMemo:
                 else self.regressor_key())
 
     def explanations(self, nodes: Sequence[int], compute: Callable):
-        from repro.explain.gnn_explainer import ExplainerConfig
+        from repro.explain.explanation import ExplainerConfig
         from repro.io import load_explanations, save_explanations
 
         key = K.explanations_key(

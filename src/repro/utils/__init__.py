@@ -1,40 +1,14 @@
 """Shared utilities: seeded RNG helpers, timing, retry/backoff, and
 error types."""
 
-from repro.utils.rng import SeedSequence, derive_rng, rng_from_seed
-from repro.utils.timing import Stopwatch
-from repro.utils.retry import BackoffPolicy, RetryOutcome, retry_call
-from repro.utils.parallel import (
-    auto_shard_size,
-    fork_context,
-    resolve_jobs,
-    shard_bounds,
-)
-from repro.utils.errors import (
-    CampaignError,
-    ModelError,
-    NetlistError,
-    ReproError,
-    SerializationError,
-    SimulationError,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SeedSequence",
-    "derive_rng",
-    "rng_from_seed",
-    "Stopwatch",
-    "BackoffPolicy",
-    "RetryOutcome",
-    "retry_call",
-    "auto_shard_size",
-    "fork_context",
-    "resolve_jobs",
-    "shard_bounds",
-    "ReproError",
-    "NetlistError",
-    "SimulationError",
-    "ModelError",
-    "CampaignError",
-    "SerializationError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".rng": ("SeedSequence", "derive_rng", "rng_from_seed"),
+    ".timing": ("Stopwatch",),
+    ".retry": ("BackoffPolicy", "RetryOutcome", "retry_call"),
+    ".parallel": ("auto_shard_size", "fork_context", "resolve_jobs",
+                  "shard_bounds"),
+    ".errors": ("ReproError", "NetlistError", "SimulationError",
+                "ModelError", "CampaignError", "SerializationError"),
+})

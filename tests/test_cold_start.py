@@ -1,48 +1,120 @@
-"""Cold start: a CLI run loads only the third-party code it uses.
+"""Cold start: a CLI run loads only the code it uses.
 
-Every ``python -m repro`` invocation pays for what ``import repro``
-loads before the first pipeline stage starts.  ``scipy.stats`` (about
-half of the import time) and ``networkx`` serve no pipeline stage, so a
-full ``analyze`` run must finish without either in ``sys.modules``.
-The check is structural rather than a timing, so host noise cannot
-flake it, and it runs in a fresh interpreter, because the test
-process has long since imported both.
+Every ``python -m repro`` invocation pays for what it imports before
+the first pipeline stage starts, and a warm run (every stage read from
+the artifact store) pays little else.  So:
+
+* no command loads ``scipy.stats`` or ``networkx``, which serve no
+  pipeline stage;
+* ``import repro`` loads only the package ``__init__``s, the lazy
+  re-export helper and the BLAS thread budget, and no scipy;
+* ``--help`` loads no ``scipy.sparse``;
+* a warm ``analyze`` loads none of the engines whose results it reads
+  back (campaign runner, bit-parallel simulator, training engine,
+  explainer, baselines) nor designs and tools it does not use.
+
+The checks are structural rather than timings, so host noise cannot
+flake them, and each runs in a fresh interpreter, because the test
+process has long since imported everything.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from repro.store import ArtifactStore
+from tests._fresh import run_fresh
 
 #: Modules that no CLI command may load (with their submodules).
 FORBIDDEN = ("scipy.stats", "networkx")
 
+#: The ``repro`` modules ``import repro`` may load besides package
+#: ``__init__``s: the lazy re-export helper and the BLAS budget.
+IMPORT_ALLOWED = ("repro._lazy", "repro.utils.parallel",
+                  "repro.utils.errors")
+
+#: Modules a warm ``analyze`` of ``sdram`` must not load.
+WARM_FORBIDDEN = (
+    "repro.fi.runner", "repro.sim.bitparallel", "repro.nn.engine",
+    "repro.nn.gridsearch", "repro.explain.gnn_explainer",
+    "repro.models.mlp", "repro.models.logistic",
+    "repro.models.random_forest", "repro.models.svm", "repro.models.ebm",
+    "repro.models.sgc",
+    "repro.circuits.or1200_if", "repro.circuits.or1200_icfsm",
+    "repro.circuits.uart", "repro.circuits.grid",
+    "repro.circuits.random_circuits",
+    "repro.netlist.optimize", "repro.netlist.equivalence",
+    "repro.sim.xsim", "repro.sim.vcd",
+)
+
+#: Runs ``main(argv)`` quietly; prints the exit status, every loaded
+#: module and which of them are packages.
 PROBE = """
 import contextlib, io, json, sys
 from repro.__main__ import main
 with contextlib.redirect_stdout(io.StringIO()):
-    status = main(["analyze", "sdram", "--workloads", "2", "--cycles",
-                   "40", "--explain-sample", "1", "--no-store"])
-print(json.dumps({"status": status, "modules": sorted(sys.modules)}))
+    try:
+        status = main(json.loads(sys.argv[1]))
+    except SystemExit as exit:
+        status = exit.code
+print(json.dumps({
+    "status": status, "modules": sorted(sys.modules),
+    "packages": sorted(name for name, module in list(sys.modules.items())
+                       if hasattr(module, "__path__")),
+}))
 """
+
+IMPORT_PROBE = """
+import json, sys
+import repro
+print(json.dumps({
+    "modules": sorted(sys.modules),
+    "packages": sorted(name for name, module in list(sys.modules.items())
+                       if hasattr(module, "__path__")),
+}))
+"""
+
+ANALYZE = ["analyze", "sdram", "--workloads", "2", "--cycles", "40",
+           "--explain-sample", "1"]
+
+
+def _run_cli(argv) -> dict:
+    record = run_fresh(PROBE, json.dumps(argv))
+    assert record["status"] == 0
+    return record
+
+
+def _loaded(record: dict, prefixes) -> list:
+    return [
+        name for name in record["modules"]
+        if any(name == prefix or name.startswith(prefix + ".")
+               for prefix in prefixes)
+    ]
 
 
 def test_analyze_loads_neither_scipy_stats_nor_networkx():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    result = subprocess.run(
-        [sys.executable, "-c", PROBE], cwd=str(REPO_ROOT), env=env,
-        capture_output=True, text=True, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    record = json.loads(result.stdout.splitlines()[-1])
-    assert record["status"] == 0
-    loaded = [
-        name for name in record["modules"]
-        if any(name == prefix or name.startswith(prefix + ".")
-               for prefix in FORBIDDEN)
-    ]
-    assert loaded == []
+    record = _run_cli(ANALYZE + ["--no-store"])
+    assert _loaded(record, FORBIDDEN) == []
+
+
+def test_import_repro_loads_no_submodule_engine_or_scipy():
+    record = run_fresh(IMPORT_PROBE)
+    extra = [name for name in _loaded(record, ["repro"])
+             if name not in record["packages"]
+             and name not in IMPORT_ALLOWED]
+    assert extra == []
+    assert _loaded(record, ["scipy.sparse", "numpy.f2py"]) == []
+
+
+def test_help_loads_no_scipy_sparse():
+    record = _run_cli(["--help"])
+    assert _loaded(record, ["scipy.sparse"]) == []
+
+
+def test_warm_analyze_loads_no_engine(tmp_path):
+    store = tmp_path / "store"
+    argv = ANALYZE + ["--store", str(store)]
+    _run_cli(argv)  # fills the store
+    misses = ArtifactStore(store).stats()["misses"]
+    record = _run_cli(argv)
+    assert ArtifactStore(store).stats()["misses"] == misses  # all hits
+    assert _loaded(record, WARM_FORBIDDEN) == []
+    assert _loaded(record, FORBIDDEN) == []

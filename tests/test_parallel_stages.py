@@ -27,6 +27,7 @@ from repro.utils.workerpool import (
     run_supervised,
     worker_count,
 )
+from tests._fresh import run_fresh
 
 pytestmark = pytest.mark.skipif(
     fork_context() is None,
@@ -270,3 +271,50 @@ def test_default_jobs_is_serial_inside_a_pool_worker(sdram):
         [0], PoolPolicy(jobs=1),
     )
     assert inside.ok and inside.value == (1, 1)
+
+
+#: A default analyzer on ``sdram``, run stage by stage in a fresh
+#: interpreter, recording the stage and the ``repro`` modules loaded
+#: each time a ``WorkerPool`` is constructed.
+_POOL_IMPORTS = """
+import json, sys
+from repro.utils.workerpool import WorkerPool
+
+stage, seen, construct = None, [], WorkerPool.__init__
+
+def recording(self, *args, **kwargs):
+    seen.append([stage, sorted(name for name in sys.modules
+                               if name.startswith("repro."))])
+    construct(self, *args, **kwargs)
+
+WorkerPool.__init__ = recording
+from repro import AnalyzerConfig, FaultCriticalityAnalyzer, build_design
+analyzer = FaultCriticalityAnalyzer(
+    build_design("sdram"),
+    AnalyzerConfig(n_workloads=2, workload_cycles=60, seed=0))
+stage = "heads"
+analyzer.classifier
+stage = "baselines"
+analyzer.baseline_accuracies()
+stage = "explain"
+analyzer.explain_nodes(analyzer.sample_explain_nodes(per_class=2),
+                       batch_size=1)
+print(json.dumps({"pools": seen}))
+"""
+
+
+@needs_pool
+def test_pool_stages_import_their_code_before_forking():
+    # Workers share code the parent imported copy-on-write; code first
+    # imported in a worker is compiled again by every worker.
+    pools = run_fresh(_POOL_IMPORTS)["pools"]
+    expected = {
+        "heads": {"repro.nn.engine"},
+        "baselines": {"repro.models.mlp", "repro.models.logistic",
+                      "repro.models.random_forest", "repro.models.svm",
+                      "repro.models.ebm"},
+        "explain": {"repro.explain.gnn_explainer"},
+    }
+    assert {stage for stage, _modules in pools} == set(expected)
+    for stage, modules in pools:
+        assert expected[stage] <= set(modules), stage

@@ -167,14 +167,16 @@ class TestCrashRecovery:
         assert pool.restarts >= 1
 
 
-#: A parent whose two pool workers each print their pid, then hold a
-#: unit for two seconds.
+#: A parent whose two pool workers each write their pid, then hold a
+#: unit for two seconds.  Each pid line is one ``write`` (atomic on a
+#: pipe below ``PIPE_BUF``): an unbuffered ``print`` writes the pid and
+#: the newline separately, so two workers' lines could interleave.
 _PARENT = textwrap.dedent("""
     import os, time
     from repro.utils.workerpool import PoolPolicy, WorkerPool
 
     def hold(unit):
-        print(os.getpid(), flush=True)
+        os.write(1, f"{os.getpid()}\\n".encode())
         time.sleep(2.0)
         return unit
 
