@@ -1,9 +1,9 @@
 """ECO-mode incremental re-analysis vs full campaign rerun.
 
-After a small netlist edit, ``run_eco_campaign`` rebuilds the fault
-campaign from the frozen baseline's per-output mismatch traces plus a
-single packed bit-parallel pass over the edit's backward support cone
-— bitwise identical to a full rerun, at a fraction of the cost.  This
+After a small netlist edit, ``run_eco_campaign`` reads the baseline's
+rows back from its checkpoint directory, re-simulates only the dirty
+faults on the edit's dirty cone, and merges the two — bitwise
+identical to a full rerun, at a fraction of the cost.  This
 benchmark commits the headline claim in machine-readable form:
 ``results/BENCH_eco.json`` records the full-rerun and incremental
 wall clocks for a 5-gate (~1% of gates) edit on the largest
@@ -17,8 +17,8 @@ Runs two ways:
   JSON artifact and asserts the >=10x acceptance bar.
 * ``python benchmarks/bench_eco.py [--smoke]`` — standalone;
   ``--smoke`` shrinks the suite for the CI guard (exercises diff,
-  trace sidecar, support-cone merge, and the bitwise check end to
-  end, skips the artifact write and the 10x bar).
+  checkpointed baseline, dirty-cone rerun, merge, and the bitwise
+  check end to end, skips the artifact write and the 10x bar).
 """
 
 import argparse
@@ -90,11 +90,7 @@ def run_benchmark(n_workloads=WORKLOADS, cycles=CYCLES,
                   repeats=REPEATS, smoke=False):
     """Measure full rerun vs incremental, assemble the payload."""
     from repro import build_design
-    from repro.fi import (
-        run_campaign,
-        run_campaign_with_traces,
-        run_eco_campaign,
-    )
+    from repro.fi import run_campaign, run_eco_campaign
     from repro.fi.observation import DESIGN_OBSERVATION, DESIGN_SEVERITY
     from repro.sim import design_workloads
 
@@ -107,12 +103,10 @@ def run_benchmark(n_workloads=WORKLOADS, cycles=CYCLES,
 
     with tempfile.TemporaryDirectory() as base_dir:
         # Baseline prep (the investment, not part of the measurement):
-        # the pre-edit campaign recorded with per-output traces.
+        # the pre-edit campaign, checkpointed into the base directory.
         started = time.perf_counter()
-        base, _ = run_campaign_with_traces(
-            old, workloads, observation=spec, severity=severity,
-            checkpoint_dir=base_dir,
-        )
+        run_campaign(old, workloads, observation=spec, severity=severity,
+                     collapse=False, checkpoint_dir=base_dir)
         prep_seconds = time.perf_counter() - started
 
         # Interleaved best-of-N: each round measures the full rerun
@@ -194,7 +188,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny suite, single repeat, no artifact, "
-                             "no 10x bar (the CI guard)")
+                             "no 10x bar: the diff, checkpointed "
+                             "baseline, dirty-cone rerun and bitwise "
+                             "check only (the CI guard)")
     parser.add_argument("--out", metavar="FILE.json",
                         help="write the payload here instead of "
                              f"results/{ARTIFACT}")

@@ -200,22 +200,6 @@ def cmd_campaign(args) -> int:
         _print_eco_header(eco)
         print()
         campaign = eco.result
-    elif args.eco_traces:
-        from repro.fi import run_campaign_with_traces
-
-        if not args.checkpoint_dir:
-            print("error: --eco-traces needs --checkpoint-dir (the "
-                  "sidecar is written into the checkpoint store)",
-                  file=sys.stderr)
-            return 2
-        campaign, _ = run_campaign_with_traces(
-            design, workloads, checkpoint_dir=args.checkpoint_dir,
-        )
-        print(f"ECO trace sidecar -> {args.checkpoint_dir}/"
-              "eco_traces.npz (later: repro campaign --eco EDITED.v "
-              f"--base-checkpoint-dir {args.checkpoint_dir} "
-              f"{args.design})")
-        print()
     else:
         def compute():
             return run_campaign(
@@ -518,12 +502,6 @@ def main(argv=None) -> int:
                                "campaign's checkpoint store "
                                "(fingerprint-verified; incompatible "
                                "stores are refused, never merged)")
-    campaign.add_argument("--eco-traces", action="store_true",
-                          help="baseline prep: serial campaign that "
-                               "also records the eco_traces.npz "
-                               "sidecar into --checkpoint-dir, "
-                               "unlocking --eco's trace-merge fast "
-                               "path")
     _add_store_flags(campaign)
 
     explain = commands.add_parser("explain",

@@ -14,10 +14,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                   "coverage_by_workload", "criticality_by_cell_type",
                   "detection_latency_histogram", "undetected_faults"),
     ".diagnosis": ("DiagnosisCandidate", "FaultDictionary"),
-    ".eco": ("DirtyRegion", "EcoResult", "EcoTraces",
-             "compute_dirty_region", "extract_dirty_cone",
-             "extract_support_cone", "run_campaign_with_traces",
-             "run_eco_campaign", "run_eco_transient_campaign"),
+    ".eco": ("DirtyRegion", "EcoResult", "compute_dirty_region",
+             "extract_dirty_cone", "run_eco_campaign",
+             "run_eco_transient_campaign"),
     ".collapse": ("CollapsedUniverse", "collapse_faults",
                   "expand_results", "expand_shard"),
     ".faults": ("Fault", "faults_for_nodes", "full_fault_universe",

@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -72,12 +73,7 @@ from repro.fi.faults import Fault, full_fault_universe
 from repro.netlist.diff import NetlistDiff, diff_netlists
 from repro.netlist.netlist import Netlist
 from repro.sim.waveform import Workload
-from repro.utils.errors import (
-    CampaignError,
-    CorruptArtifactError,
-    EcoError,
-    SerializationError,
-)
+from repro.utils.errors import CampaignError, EcoError
 
 PathLike = Union[str, Path]
 
@@ -426,13 +422,11 @@ def extract_dirty_cone(netlist: Netlist, fault_nodes: Iterable[str],
 
 
 def _materialize_cone(netlist: Netlist, cone: np.ndarray,
-                      forced_pi_ports: Set[str],
-                      retained_ports: Optional[Set[str]] = None,
-                      ) -> Netlist:
+                      forced_pi_ports: Set[str]) -> Netlist:
     """Build the induced sub-netlist for a cone mask, preserving net,
-    port, and instance names.  ``retained_ports`` restricts which
-    gate-driven output ports survive (``None`` keeps every mapped one);
-    PI-bound ports survive only when listed in ``forced_pi_ports``."""
+    port, and instance names.  Every mapped gate-driven output port
+    survives; PI-bound ports survive only when listed in
+    ``forced_pi_ports``."""
     from repro.netlist.cells import FEEDBACK_PORTS
 
     port_net = {port: net for net, port in netlist.primary_outputs}
@@ -484,11 +478,9 @@ def _materialize_cone(netlist: Netlist, cone: np.ndarray,
         mapped = net_map.get(net)
         if mapped is None:
             continue
-        if netlist.nets[net].driver is None:
-            # PI-bound ports can never mismatch; keep strobes only.
-            if port not in forced_pi_ports:
-                continue
-        elif retained_ports is not None and port not in retained_ports:
+        # PI-bound ports can never mismatch; keep strobes only.
+        if (netlist.nets[net].driver is None
+                and port not in forced_pi_ports):
             continue
         sub.add_output(mapped, port)
     return sub
@@ -531,517 +523,11 @@ def _cone_faults(sub: Netlist, faults: Sequence) -> List:
     return rebuilt
 
 
-def extract_support_cone(
-    new: Netlist,
-    diff: NetlistDiff,
-    observation,
-    fault_nodes: Iterable[str],
-    affected_ports: Iterable[str],
-):
-    """The sub-design on which every dirty fault's effect on the
-    *affected* outputs and *affected* flops replays exactly.
-
-    Unlike :func:`extract_dirty_cone` (which chases each dirty fault's
-    full forward observation cone — design-wide as soon as one dirty
-    gate has global fanout), this cone is assembled purely from
-    **backward** support closures: the fanin cones of the affected
-    output drivers, the affected flops (those forward of the edit,
-    whose end-state feeds the latent classification), the strobes
-    observing any retained affected output, and the dirty fault gates
-    themselves.  Clean outputs and clean flops are *not* reproduced —
-    the trace-merge path takes their mismatch contributions from the
-    baseline's recorded traces instead.
-
-    Returns ``(sub, sub_spec, retained_affected, affected_flops)``:
-    the sub-netlist, its restricted observation spec, the affected
-    ports it retains as outputs, and the node names of the affected
-    flops (all present in the cone).
-    """
-    from repro.fi.observation import ObservationSpec
-
-    port_net = {port: net for net, port in new.primary_outputs}
-    seeds = _seed_gates(new, diff, "new")
-    forward = _forward_closure(new, seeds)
-    affected_flops = [
-        new.gates[int(index)].node_name
-        for index in np.flatnonzero(forward)
-        if new.gates[int(index)].cell.sequential
-    ]
-
-    index_of = {gate.node_name: gate.index for gate in new.gates}
-    anchors: Set[int] = {
-        index_of[name] for name in fault_nodes if name in index_of
-    }
-    anchors.update(index_of[name] for name in affected_flops)
-
-    retained: Set[str] = set()
-    forced_pi_ports: Set[str] = set()
-    for port in affected_ports:
-        net = port_net.get(port)
-        if net is None:
-            continue  # removed port — only the old design has it
-        driver = new.nets[net].driver
-        if driver is None:
-            # PI-bound ports can never mismatch in any machine.
-            continue
-        anchors.add(driver)
-        retained.add(port)
-
-    if isinstance(observation, ObservationSpec):
-        # Compare masks come from golden strobe traces: every strobe
-        # observing a retained output needs its port and support in the
-        # cone (strobes can chain, hence the fixpoint).
-        changed = True
-        while changed:
-            changed = False
-            for target, (strobe, _) in observation.strobes.items():
-                applies = any(
-                    name == target or name.startswith(target + "_")
-                    for name in retained
-                )
-                if not applies or strobe in retained:
-                    continue
-                if strobe in forced_pi_ports:
-                    continue
-                strobe_net = port_net[strobe]
-                driver = new.nets[strobe_net].driver
-                if driver is None:
-                    forced_pi_ports.add(strobe)
-                else:
-                    anchors.add(driver)
-                    retained.add(strobe)
-                changed = True
-
-    cone = _backward_closure(new, anchors)
-    sub = _materialize_cone(new, cone, forced_pi_ports, retained)
-    sub_spec = _filter_observation(observation, sub.output_names())
-    retained_affected = {
-        port for port in affected_ports if port in retained
-    }
-    return sub, sub_spec, retained_affected, affected_flops
-
-
-# ----------------------------------------------------------------------
-# Baseline mismatch traces (the trace-merge fast path's fuel)
-# ----------------------------------------------------------------------
-ECO_TRACES_NAME = "eco_traces.npz"
-
-
-@dataclass
-class EcoTraces:
-    """Per-output / per-flop mismatch traces of a baseline campaign.
-
-    Recorded by :func:`run_campaign_with_traces`: for every workload,
-    the strobe-gated golden-vs-faulty mismatch words of each output on
-    each cycle, and each flop's end-of-run state-corruption words.
-    They let :func:`run_eco_campaign` rebuild a dirty fault's full row
-    from (a) the baseline's clean-output/clean-flop contributions —
-    provably unchanged by the edit — plus (b) a fresh simulation of
-    only the affected-support cone, which is what turns "re-simulate 4%
-    of the faults" into an actual wall-clock win on designs where dirty
-    gates have global fanout.
-    """
-
-    fingerprint: str
-    netlist_name: str
-    workload_names: List[str]
-    output_names: List[str]
-    flop_names: List[str]
-    fault_nodes: List[str]
-    fault_stuck: np.ndarray        # int8 per fault
-    output_diff: List[np.ndarray]  # per workload (cycles, outs, words)
-    flop_end_diff: List[np.ndarray]  # per workload (flops, words)
-
-    def fault_keys(self) -> List[Tuple[str, int, int]]:
-        return [
-            (node, int(stuck), -1)
-            for node, stuck in zip(self.fault_nodes, self.fault_stuck)
-        ]
-
-    def save(self, path: PathLike) -> None:
-        """Publish the sidecar atomically (a bare name gains ``.npz``):
-        an interrupted save leaves no file, never a torn one."""
-        from repro.io import npz_path, publish, write_archive
-
-        arrays: Dict[str, np.ndarray] = {
-            "fingerprint": np.array(self.fingerprint),
-            "netlist_name": np.array(self.netlist_name),
-            "workload_names": np.array(self.workload_names, dtype="U"),
-            "output_names": np.array(self.output_names, dtype="U"),
-            "flop_names": np.array(self.flop_names, dtype="U"),
-            "fault_nodes": np.array(self.fault_nodes, dtype="U"),
-            "fault_stuck": np.asarray(self.fault_stuck, dtype=np.int8),
-        }
-        for row, array in enumerate(self.output_diff):
-            arrays[f"output_diff_{row}"] = array
-        for row, array in enumerate(self.flop_end_diff):
-            arrays[f"flop_end_diff_{row}"] = array
-        # Uncompressed on purpose: the sidecar is read on every ECO
-        # run and zlib decompression would dominate the warm path.
-        publish(npz_path(path), lambda handle: write_archive(
-            handle, arrays, compress=False,
-        ))
-
-    @classmethod
-    def load(cls, path: PathLike) -> "EcoTraces":
-        """Read a sidecar written by :meth:`save`.  Damaged bytes, and
-        arrays that disagree with the name lists (lane words, output
-        and flop counts), are refused before any lane lookup can index
-        past them."""
-        from repro.io import open_archive
-
-        try:
-            with open_archive(path, "ECO trace sidecar") as archive:
-                def names(key: str) -> List[str]:
-                    return [str(name) for name in archive.array(key, "U")]
-
-                workload_names = names("workload_names")
-                output_names = names("output_names")
-                flop_names = names("flop_names")
-                fault_nodes = names("fault_nodes")
-                n_words = (len(fault_nodes) + 64) // 64
-                return cls(
-                    fingerprint=str(archive.array("fingerprint", "U")),
-                    netlist_name=str(archive.array("netlist_name", "U")),
-                    workload_names=workload_names,
-                    output_names=output_names,
-                    flop_names=flop_names,
-                    fault_nodes=fault_nodes,
-                    fault_stuck=archive.array("fault_stuck", "i",
-                                              (len(fault_nodes),)),
-                    output_diff=[
-                        archive.array(f"output_diff_{row}", "u",
-                                      (None, len(output_names), n_words))
-                        for row in range(len(workload_names))
-                    ],
-                    flop_end_diff=[
-                        archive.array(f"flop_end_diff_{row}", "u",
-                                      (len(flop_names), n_words))
-                        for row in range(len(workload_names))
-                    ],
-                )
-        except (CorruptArtifactError, OSError) as error:
-            raise EcoError(
-                f"ECO trace sidecar {path} is corrupt or truncated: "
-                f"{error}"
-            ) from error
-        except SerializationError as error:
-            raise EcoError(
-                f"ECO trace sidecar {path} is inconsistent: {error}"
-            ) from error
-
-
-def run_campaign_with_traces(
-    netlist: Netlist,
-    workloads: Sequence[Workload],
-    faults: Optional[Sequence[Fault]] = None,
-    observation="auto",
-    severity="auto",
-    *,
-    checkpoint_dir: Optional[PathLike] = None,
-):
-    """Serial full campaign that additionally records ECO reuse traces.
-
-    Returns ``(result, traces)`` where ``result`` is bitwise identical
-    to ``run_campaign(...)`` under the default serial policy and
-    ``traces`` is the :class:`EcoTraces` sidecar that unlocks
-    :func:`run_eco_campaign`'s trace-merge fast path.  With
-    ``checkpoint_dir`` set, the campaign is also checkpointed as a
-    normal single-shard store *and* the sidecar is written next to the
-    manifest as ``eco_traces.npz`` — ``repro campaign --eco`` picks
-    both up from ``--base-checkpoint-dir``.
-    """
-    import time
-
-    from repro.utils.fingerprint import campaign_fingerprint
-    from repro.fi.runner import CampaignRunner, RunnerPolicy
-    from repro.sim.bitparallel import BitParallelSimulator, StuckAt
-
-    runner = CampaignRunner(
-        netlist, workloads, faults=faults, observation=observation,
-        severity=severity, collapse=False,
-        policy=RunnerPolicy(checkpoint_dir=checkpoint_dir),
-    )
-    store = runner._open_store()
-    if store is not None:
-        store.open(resume=False)
-
-    engine = BitParallelSimulator(netlist)
-    injection = StuckAt(runner._fault_nets, runner._fault_values)
-    n_faults = len(runner.faults)
-    n_workloads = len(runner.workloads)
-
-    error_cycles = np.zeros((n_workloads, n_faults), dtype=np.int64)
-    detection = np.full((n_workloads, n_faults), -1, dtype=np.int64)
-    latent = np.zeros((n_workloads, n_faults), dtype=bool)
-    output_diff: List[np.ndarray] = []
-    flop_end_diff: List[np.ndarray] = []
-    total_elapsed = 0.0
-    for row, workload in enumerate(runner.workloads):
-        started = time.perf_counter()
-        traced = engine.run_pass(
-            [workload], injection, observation=runner._compiled,
-            trace=True,
-        )
-        value = traced.row(0)
-        elapsed = time.perf_counter() - started
-        total_elapsed += elapsed
-        error_cycles[row], detection[row], latent[row] = value
-        if store is not None:
-            store.record(
-                row, 0,
-                error_cycles=value[0], detection_cycle=value[1],
-                latent=value[2], elapsed_seconds=elapsed,
-            )
-        output_diff.append(traced.trace.output_diff)
-        flop_end_diff.append(traced.trace.flop_end_diff)
-
-    result = CampaignResult(
-        netlist_name=netlist.name,
-        faults=runner.faults,
-        workload_names=[w.name for w in runner.workloads],
-        workload_cycles=np.array(
-            [w.cycles for w in runner.workloads], dtype=np.int64
-        ),
-        error_cycles=error_cycles,
-        detection_cycle=detection,
-        latent=latent,
-        severity=runner.severity,
-        simulation_seconds=total_elapsed,
-    )
-    traces = EcoTraces(
-        fingerprint=campaign_fingerprint(
-            netlist.name, runner.workloads, runner._simulated,
-            runner.severity, False, runner._observation_key,
-        ),
-        netlist_name=netlist.name,
-        workload_names=[w.name for w in runner.workloads],
-        output_names=netlist.output_names(),
-        flop_names=[
-            gate.node_name for gate in netlist.sequential_gates()
-        ],
-        fault_nodes=[fault.node_name for fault in runner.faults],
-        fault_stuck=np.array(
-            [fault.stuck_at for fault in runner.faults], dtype=np.int8
-        ),
-        output_diff=output_diff,
-        flop_end_diff=flop_end_diff,
-    )
-    if checkpoint_dir is not None:
-        traces.save(Path(checkpoint_dir) / ECO_TRACES_NAME)
-    return result, traces
-
-
-def _machine_bits(words: np.ndarray,
-                  machines: np.ndarray) -> np.ndarray:
-    """Select machine bit columns from packed mismatch words.
-
-    ``words`` is ``(..., n_words)`` uint64; returns a boolean array of
-    shape ``(..., len(machines))``.
-    """
-    word_index = (machines >> 6).astype(np.intp)
-    shifts = (machines & 63).astype(np.uint64)
-    return ((words[..., word_index] >> shifts)
-            & np.uint64(1)).astype(bool)
-
-
-def _trace_merge_dirty(
-    old: Netlist,
-    new: Netlist,
-    diff: NetlistDiff,
-    region: DirtyRegion,
-    spec,
-    workloads: Sequence[Workload],
-    base: CampaignResult,
-    base_columns: Dict[Tuple[str, int, int], int],
-    traces: EcoTraces,
-    dirty_faults: Sequence[Fault],
-    severity_old: float,
-) -> Optional[CampaignResult]:
-    """Rebuild the dirty faults' rows from baseline traces plus one
-    packed affected-support-cone pass per workload cycle count.
-
-    Returns ``None`` when the traces cannot soundly cover this edit
-    (non-stuck-at faults, or a dirty fault on a pre-existing node with
-    no baseline lane); raises :class:`EcoError` when the sidecar
-    plainly belongs to a different campaign.
-    """
-    import time
-
-    from repro.utils.fingerprint import campaign_fingerprint
-    from repro.fi.observation import ObservationSpec
-    from repro.sim.bitparallel import (
-        BitParallelSimulator,
-        StuckAt,
-        cycle_groups,
-    )
-
-    if any(not hasattr(fault, "stuck_at") for fault in dirty_faults):
-        return None
-    old_nodes = {gate.node_name for gate in old.gates}
-    base_machines = np.zeros(len(dirty_faults), dtype=np.int64)
-    has_lane = np.zeros(len(dirty_faults), dtype=bool)
-    for position, fault in enumerate(dirty_faults):
-        column = base_columns.get(_fault_key(fault))
-        if column is None:
-            if fault.node_name in old_nodes:
-                return None  # pre-existing node, no cached lane
-            continue  # added node: clean contribution provably zero
-        base_machines[position] = column + 1
-        has_lane[position] = True
-
-    expected = campaign_fingerprint(
-        old.name, workloads, base.faults, severity_old, False,
-        observation_key(spec),
-    )
-    if traces.fingerprint != expected:
-        raise EcoError(
-            "ECO trace sidecar belongs to a different campaign "
-            "(netlist, workload stimulus, fault universe, severity, or "
-            "observation policy changed) — refusing to merge"
-        )
-    if traces.fault_keys() != [_fault_key(f) for f in base.faults]:
-        raise EcoError(
-            "ECO trace sidecar fault lanes do not match the baseline "
-            "fault universe — refusing to merge"
-        )
-
-    affected = set(region.affected_outputs)
-    clean_ports = [
-        name for name in new.output_names() if name not in affected
-    ]
-    base_out_position = {
-        name: i for i, name in enumerate(traces.output_names)
-    }
-    if any(port not in base_out_position for port in clean_ports):
-        return None  # clean port unseen by the baseline traces
-    clean_out_rows = np.array(
-        [base_out_position[port] for port in clean_ports],
-        dtype=np.intp,
-    )
-
-    started = time.perf_counter()
-    sub, sub_spec, retained_affected, affected_flops = (
-        extract_support_cone(
-            new, diff, spec,
-            {fault.node_name for fault in dirty_faults}, affected,
-        )
-    )
-    affected_flop_set = set(affected_flops)
-    clean_flops = [
-        gate.node_name for gate in new.sequential_gates()
-        if gate.node_name not in affected_flop_set
-    ]
-    base_flop_position = {
-        name: i for i, name in enumerate(traces.flop_names)
-    }
-    if any(name not in base_flop_position for name in clean_flops):
-        return None  # clean flop unseen by the baseline traces
-    clean_flop_rows = np.array(
-        [base_flop_position[name] for name in clean_flops],
-        dtype=np.intp,
-    )
-
-    cone_faults = _cone_faults(sub, dirty_faults)
-    injection = StuckAt(
-        np.array([fault.net_index for fault in cone_faults],
-                 dtype=np.intp),
-        np.array([fault.stuck_at for fault in cone_faults],
-                 dtype=np.uint8),
-    )
-    n_dirty = len(dirty_faults)
-    span = n_dirty + 1
-    cone_machines = np.arange(1, span, dtype=np.int64)
-    sub_outputs = sub.output_names()
-    affected_out_rows = np.array(
-        [i for i, name in enumerate(sub_outputs)
-         if name in retained_affected],
-        dtype=np.intp,
-    )
-    sub_flop_names = [
-        gate.node_name for gate in sub.sequential_gates()
-    ]
-    affected_flop_rows = np.array(
-        [i for i, name in enumerate(sub_flop_names)
-         if name in affected_flop_set],
-        dtype=np.intp,
-    )
-    compiled = (
-        sub_spec.compile(sub)
-        if isinstance(sub_spec, ObservationSpec) else None
-    )
-    engine = BitParallelSimulator(sub)
-    remapped = _remap_workloads(sub, workloads)
-
-    n_workloads = len(workloads)
-    error_cycles = np.zeros((n_workloads, n_dirty), dtype=np.int64)
-    detection = np.full((n_workloads, n_dirty), -1, dtype=np.int64)
-    latent = np.zeros((n_workloads, n_dirty), dtype=bool)
-
-    # Workloads of one cycle count pack into a single bit-parallel pass
-    # (per-workload golden lanes), so each gate statement of a cycle
-    # runs once per group, not once per workload.  Empty row selections reduce to
-    # all-zero words, i.e. no contribution.
-    for rows in cycle_groups(remapped):
-        packed = engine.run_pass(
-            [remapped[row] for row in rows], injection,
-            observation=compiled, trace=True,
-        ).trace
-        out_union = np.bitwise_or.reduce(
-            packed.output_diff[:, affected_out_rows, :], axis=1
-        )
-        end_union = np.bitwise_or.reduce(
-            packed.flop_end_diff[affected_flop_rows], axis=0
-        )
-        for position, row in enumerate(rows):
-            base_out = traces.output_diff[row]
-            if base_out.shape[0] != remapped[row].cycles:
-                raise EcoError(
-                    f"ECO trace sidecar cycle count for workload "
-                    f"{remapped[row].name!r} differs from the given suite"
-                )
-            lanes = position * span + cone_machines
-            clean_bits = _machine_bits(
-                np.bitwise_or.reduce(base_out[:, clean_out_rows, :],
-                                     axis=1),
-                base_machines,
-            )
-            clean_bits[:, ~has_lane] = False
-            union = clean_bits | _machine_bits(out_union, lanes)
-            error_cycles[row] = union.sum(axis=0, dtype=np.int64)
-            ever = union.any(axis=0)
-            detection[row] = np.where(
-                ever, union.argmax(axis=0), -1
-            )
-
-            clean_corrupt = _machine_bits(
-                np.bitwise_or.reduce(
-                    traces.flop_end_diff[row][clean_flop_rows], axis=0
-                ),
-                base_machines,
-            )
-            clean_corrupt[~has_lane] = False
-            latent[row] = (
-                clean_corrupt | _machine_bits(end_union, lanes)
-            ) & ~ever
-
-    return CampaignResult(
-        netlist_name=new.name,
-        faults=list(dirty_faults),
-        workload_names=[w.name for w in workloads],
-        workload_cycles=np.array(
-            [w.cycles for w in workloads], dtype=np.int64
-        ),
-        error_cycles=error_cycles,
-        detection_cycle=detection,
-        latent=latent,
-        severity=base.severity,
-        simulation_seconds=time.perf_counter() - started,
-    )
-
-
-def _validate_base_result(base: CampaignResult, old: Netlist,
-                          workloads: Sequence[Workload]) -> None:
+def _checked_base(base: CampaignResult, old: Netlist,
+                  workloads: Sequence[Workload],
+                  ) -> Tuple[CampaignResult, float]:
+    """An in-memory baseline and what its rows cost, refused unless it
+    covers the whole suite on the pre-edit design."""
     if base.netlist_name != old.name:
         raise EcoError(
             f"base campaign was run on {base.netlist_name!r}, not on "
@@ -1065,6 +551,7 @@ def _validate_base_result(base: CampaignResult, old: Netlist,
             + ", ".join(f.workload for f in base.failures[:4])
             + ") — its default rows cannot be reused"
         )
+    return base, base.simulation_seconds
 
 
 def _load_base_from_store(
@@ -1083,8 +570,6 @@ def _load_base_from_store(
     present and intact — an incomplete base has nothing trustworthy to
     merge.
     """
-    from repro.fi.collapse import collapse_faults, expand_shard
-
     if not (Path(directory) / MANIFEST_NAME).exists():
         raise EcoError(
             f"base checkpoint directory {directory} has no "
@@ -1095,27 +580,27 @@ def _load_base_from_store(
     except CampaignError as error:
         raise EcoError(f"cannot reuse the base store: {error}") from error
 
+    def matches(simulated, collapse: bool) -> bool:
+        return store.fingerprint == campaign_fingerprint(
+            old.name, workloads, simulated, severity_old, collapse,
+            observation_key_old,
+        )
+
+    # The uncollapsed universe first: it is the default baseline, and
+    # collapsing costs more than the fingerprint it is tried for.
     universe = full_fault_universe(old)
-    collapsed = collapse_faults(old, universe)
-    candidates = {
-        False: universe,
-        True: collapsed.representatives,
-    }
-    matched: Optional[bool] = None
-    for collapse_flag, simulated in candidates.items():
-        fingerprint = campaign_fingerprint(
-            old.name, workloads, simulated, severity_old,
-            collapse_flag, observation_key_old,
-        )
-        if fingerprint == store.fingerprint:
-            matched = collapse_flag
-            break
-    if matched is None:
-        raise EcoError(
-            f"base checkpoint directory {directory} belongs to a "
-            "different campaign (netlist, workload stimulus, severity, "
-            "or observation policy changed) — refusing to merge"
-        )
+    collapsed = None
+    if not matches(universe, False):
+        from repro.fi.collapse import collapse_faults, expand_shard
+
+        collapsed = collapse_faults(old, universe)
+        if not matches(collapsed.representatives, True):
+            raise EcoError(
+                f"base checkpoint directory {directory} belongs to a "
+                "different campaign (netlist, workload stimulus, "
+                "severity, or observation policy changed) — refusing "
+                "to merge"
+            )
 
     completed = store.open(resume=True)
     missing = [
@@ -1148,7 +633,7 @@ def _load_base_from_store(
         for target, column in zip(
             (error_cycles, detection, latent), columns
         ):
-            if matched:
+            if collapsed is not None:
                 original, expanded = expand_shard(
                     collapsed, bounds, np.asarray(column)
                 )
@@ -1283,6 +768,79 @@ def _resolve_policies(old: Netlist, new: Netlist, severity,
     return severity_old, severity_new, spec_old
 
 
+def _run_eco(
+    old: Netlist,
+    new: Netlist,
+    workloads: Sequence[Workload],
+    *,
+    severity,
+    observation,
+    load_base: Callable[[float, object], Tuple[CampaignResult, float]],
+    fault_universe: Callable[[], List],
+    rerun: Callable[..., CampaignResult],
+) -> EcoResult:
+    """The ECO driver both fault models share.
+
+    Checks the interfaces, resolves one observation policy for both
+    designs, diffs them and computes the dirty region.  The baseline
+    comes from ``load_base(old severity, observation)`` and the edited
+    design's faults from ``fault_universe()``.  A fault is dirty when
+    its node is in the dirty region or the baseline has no row for it;
+    the dirty faults re-simulate on the extracted dirty cone through
+    ``rerun(netlist, workloads, faults=, observation=, severity=)``,
+    and every other row is copied from the baseline.
+    """
+    _check_interfaces(old, new, workloads)
+    severity_old, severity_new, spec = _resolve_policies(
+        old, new, severity, observation)
+
+    diff = diff_netlists(old, new)
+    region = compute_dirty_region(old, new, diff=diff, observation=spec)
+    base, base_seconds = load_base(severity_old, spec)
+
+    new_universe = fault_universe()
+    base_columns = {
+        _fault_key(fault): column
+        for column, fault in enumerate(base.faults)
+    }
+    dirty_indices = [
+        index for index, fault in enumerate(new_universe)
+        if region.is_dirty(fault.node_name)
+        or _fault_key(fault) not in base_columns
+    ]
+
+    dirty_result: Optional[CampaignResult] = None
+    if dirty_indices:
+        dirty_faults = [new_universe[i] for i in dirty_indices]
+        cone, cone_spec = extract_dirty_cone(
+            new, {fault.node_name for fault in dirty_faults}, spec,
+        )
+        dirty_result = rerun(
+            cone,
+            _remap_workloads(cone, workloads),
+            faults=(
+                dirty_faults if cone is new
+                else _cone_faults(cone, dirty_faults)
+            ),
+            observation=cone_spec,
+            severity=severity_new,
+        )
+
+    merged = _merge_rows(
+        new_universe, dirty_indices, base, base_columns, dirty_result,
+        workloads, new.name, severity_new,
+    )
+    return EcoResult(
+        result=merged,
+        diff=diff,
+        region=region,
+        n_faults=len(new_universe),
+        n_dirty=len(dirty_indices),
+        dirty_seconds=merged.simulation_seconds,
+        base_seconds=base_seconds,
+    )
+
+
 def run_eco_campaign(
     old: Netlist,
     new: Netlist,
@@ -1290,7 +848,6 @@ def run_eco_campaign(
     *,
     base: Optional[CampaignResult] = None,
     base_checkpoint_dir: Optional[PathLike] = None,
-    base_traces: Optional[EcoTraces] = None,
     faults: Optional[Sequence[Fault]] = None,
     observation="auto",
     severity="auto",
@@ -1306,27 +863,16 @@ def run_eco_campaign(
     """Incremental stuck-at campaign for an edited design.
 
     Diffs ``old`` against ``new``, computes the dirty region,
-    re-simulates only the dirty faults (with the full resilient runner
-    feature set: sharding, ``jobs`` fan-out, checkpoint/resume of the
-    *dirty* sub-campaign via ``checkpoint_dir``/``resume``), and merges
-    with cached rows from exactly one baseline source:
+    re-simulates only the dirty faults on the extracted dirty cone
+    (with the full resilient runner feature set: sharding, ``jobs``
+    fan-out, checkpoint/resume of the *dirty* sub-campaign via
+    ``checkpoint_dir``/``resume``), and merges with cached rows from
+    exactly one baseline source:
 
     * ``base`` — an in-memory :class:`CampaignResult` of the *old*
       design over the same ``workloads`` (full stuck-at universe), or
     * ``base_checkpoint_dir`` — a completed PR 1/3-style checkpoint
       store, verified against the old campaign's fingerprint.
-
-    When baseline mismatch traces are available — passed as
-    ``base_traces`` or found as ``eco_traces.npz`` inside
-    ``base_checkpoint_dir`` (both produced by
-    :func:`run_campaign_with_traces`) — the dirty faults are
-    re-simulated on the *affected-support cone* only and their rows
-    recombined with the baseline's clean-output/clean-flop trace
-    contributions.  That path is what delivers the order-of-magnitude
-    wall-clock win (the fallback re-simulates the dirty faults on the
-    fanout observation cone, which degenerates to the whole design as
-    soon as one dirty gate has global fanout); the merged result is
-    bitwise identical either way.
 
     The merged result is bitwise identical to
     ``run_campaign(new, workloads, ...)`` for every runner
@@ -1339,93 +885,39 @@ def run_eco_campaign(
     Raises :class:`~repro.utils.errors.EcoError` on any refusal
     condition (see module docstring).
     """
-    from repro.fi.runner import CampaignRunner, RunnerPolicy
-
     if (base is None) == (base_checkpoint_dir is None):
         raise EcoError(
             "pass exactly one of base= (in-memory CampaignResult) or "
             "base_checkpoint_dir= (checkpoint store)"
         )
-    _check_interfaces(old, new, workloads)
-    severity_old, severity_new, spec = _resolve_policies(
-        old, new, severity, observation)
 
-    diff = diff_netlists(old, new)
-    region = compute_dirty_region(old, new, diff=diff, observation=spec)
-
-    base_seconds = 0.0
-    if base is not None:
-        _validate_base_result(base, old, workloads)
-        base_seconds = base.simulation_seconds
-    else:
-        base, base_seconds = _load_base_from_store(
+    def load_base(severity_old: float, spec):
+        if base is not None:
+            return _checked_base(base, old, workloads)
+        return _load_base_from_store(
             base_checkpoint_dir, old, workloads, severity_old,
             observation_key(spec),
         )
-        if base_traces is None:
-            sidecar = Path(base_checkpoint_dir) / ECO_TRACES_NAME
-            if sidecar.exists():
-                base_traces = EcoTraces.load(sidecar)
 
-    new_universe = (
-        list(faults) if faults is not None
-        else full_fault_universe(new)
-    )
-    base_columns = {
-        _fault_key(fault): column
-        for column, fault in enumerate(base.faults)
-    }
-    dirty_indices = [
-        index for index, fault in enumerate(new_universe)
-        if region.is_dirty(fault.node_name)
-        or _fault_key(fault) not in base_columns
-    ]
+    def rerun(cone: Netlist, cone_workloads, **campaign):
+        from repro.fi.runner import CampaignRunner, RunnerPolicy
 
-    dirty_result: Optional[CampaignResult] = None
-    if dirty_indices:
-        dirty_faults = [new_universe[i] for i in dirty_indices]
-        if base_traces is not None:
-            dirty_result = _trace_merge_dirty(
-                old, new, diff, region, spec, workloads, base,
-                base_columns, base_traces, dirty_faults,
-                severity_old,
-            )
-    if dirty_indices and dirty_result is None:
-        dirty_faults = [new_universe[i] for i in dirty_indices]
-        cone, cone_spec = extract_dirty_cone(
-            new, {fault.node_name for fault in dirty_faults}, spec,
-        )
         policy = RunnerPolicy(
             timeout=timeout, retries=retries, backoff=backoff,
             checkpoint_dir=checkpoint_dir, resume=resume, jobs=jobs,
             shard_size=shard_size,
         )
-        runner = CampaignRunner(
-            cone,
-            _remap_workloads(cone, workloads),
-            faults=(
-                dirty_faults if cone is new
-                else _cone_faults(cone, dirty_faults)
-            ),
-            observation=cone_spec,
-            severity=severity_new,
-            collapse=collapse,
-            policy=policy,
-        )
-        dirty_result = runner.run()
+        return CampaignRunner(cone, cone_workloads, collapse=collapse,
+                              policy=policy, **campaign).run()
 
-    merged = _merge_rows(
-        new_universe, dirty_indices, base, base_columns, dirty_result,
-        workloads, new.name, severity_new,
-    )
-    return EcoResult(
-        result=merged,
-        diff=diff,
-        region=region,
-        n_faults=len(new_universe),
-        n_dirty=len(dirty_indices),
-        dirty_seconds=merged.simulation_seconds,
-        base_seconds=base_seconds,
+    return _run_eco(
+        old, new, workloads, severity=severity, observation=observation,
+        load_base=load_base,
+        fault_universe=lambda: (
+            list(faults) if faults is not None
+            else full_fault_universe(new)
+        ),
+        rerun=rerun,
     )
 
 
@@ -1456,58 +948,18 @@ def run_eco_transient_campaign(
         transient_fault_universe,
     )
 
-    _check_interfaces(old, new, workloads)
-    _, severity_new, spec = _resolve_policies(old, new, severity,
-                                              observation)
-    _validate_base_result(base, old, workloads)
-
-    diff = diff_netlists(old, new)
-    region = compute_dirty_region(old, new, diff=diff, observation=spec)
-
-    if faults is not None:
-        new_universe = list(faults)
-    else:
-        min_cycles = min(w.cycles for w in workloads)
-        new_universe = transient_fault_universe(
-            new, min_cycles, injections_per_flop, seed
-        )
-    base_columns = {
-        _fault_key(fault): column
-        for column, fault in enumerate(base.faults)
-    }
-    dirty_indices = [
-        index for index, fault in enumerate(new_universe)
-        if region.is_dirty(fault.node_name)
-        or _fault_key(fault) not in base_columns
-    ]
-
-    dirty_result: Optional[CampaignResult] = None
-    if dirty_indices:
-        dirty_faults = [new_universe[i] for i in dirty_indices]
-        cone, cone_spec = extract_dirty_cone(
-            new, {fault.node_name for fault in dirty_faults}, spec,
-        )
-        dirty_result = run_transient_campaign(
-            cone,
-            _remap_workloads(cone, workloads),
-            faults=(
-                dirty_faults if cone is new
-                else _cone_faults(cone, dirty_faults)
-            ),
-            observation=cone_spec,
-            severity=severity_new,
+    def fault_universe():
+        if faults is not None:
+            return list(faults)
+        return transient_fault_universe(
+            new, min(w.cycles for w in workloads), injections_per_flop,
+            seed,
         )
 
-    merged = _merge_rows(
-        new_universe, dirty_indices, base, base_columns, dirty_result,
-        workloads, new.name, severity_new,
-    )
-    return EcoResult(
-        result=merged,
-        diff=diff,
-        region=region,
-        n_faults=len(new_universe),
-        n_dirty=len(dirty_indices),
-        dirty_seconds=merged.simulation_seconds,
-        base_seconds=base.simulation_seconds,
+    return _run_eco(
+        old, new, workloads, severity=severity, observation=observation,
+        load_base=lambda severity_old, spec: _checked_base(
+            base, old, workloads),
+        fault_universe=fault_universe,
+        rerun=run_transient_campaign,
     )

@@ -7,10 +7,10 @@ with JSON-encoded metadata, or to plain JSON — no pickle, so archives
 are portable and inspectable.
 
 Every artifact the package persists — campaign archives, checkpoint
-units and manifests, the ECO trace sidecar, artifact-store entries —
-goes through the one codec in this module: :func:`write_archive` and
-:func:`write_json` produce the bytes, :func:`open_archive` and
-:func:`read_json` validate them on the way back in (raising
+units and manifests, artifact-store entries — goes through the one
+codec in this module: :func:`write_archive` and :func:`write_json`
+produce the bytes, :func:`open_archive` and :func:`read_json`
+validate them on the way back in (raising
 :class:`~repro.utils.errors.CorruptArtifactError` for damaged bytes
 and :class:`~repro.utils.errors.SerializationError` for inconsistent
 contents, naming the path), and :func:`publish` makes a write atomic
@@ -178,19 +178,18 @@ def npz_path(path: PathLike) -> Path:
 # the codec: one writer and one validating reader per container
 # ----------------------------------------------------------------------
 def write_archive(file, arrays: Dict[str, np.ndarray],
-                  metadata: Optional[dict] = None, *,
-                  compress: bool = True) -> None:
-    """Write one ``.npz``: the JSON ``metadata`` blob (when given)
-    first, then ``arrays`` in the order given, deflated unless
-    ``compress`` is false.  ``file`` is a path (``.npz`` is appended
-    when missing, as numpy does) or an open binary handle."""
+                  metadata: Optional[dict] = None) -> None:
+    """Write one deflated ``.npz``: the JSON ``metadata`` blob (when
+    given) first, then ``arrays`` in the order given.  ``file`` is a
+    path (``.npz`` is appended when missing, as numpy does) or an open
+    binary handle."""
     members: Dict[str, np.ndarray] = {}
     if metadata is not None:
         members["metadata"] = np.frombuffer(
             json.dumps(metadata).encode("utf-8"), dtype=np.uint8
         )
     members.update(arrays)
-    (np.savez_compressed if compress else np.savez)(file, **members)
+    np.savez_compressed(file, **members)
 
 
 #: What reading one member of an intact zip directory raises when the

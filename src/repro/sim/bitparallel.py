@@ -23,8 +23,8 @@ The pass has three parts:
   workload span and fault, and how a per-span bit spreads over lanes;
 * the *injector* (:class:`StuckAt` or :class:`Upset`): per-net keep and
   force ints, or a per-cycle schedule of flips on flop outputs;
-* the *sink*: a :class:`MismatchAccumulator` always, plus a
-  :class:`PassTrace` of gated per-output mismatch words when asked for.
+* the *sink*: a :class:`MismatchAccumulator` of strobe-gated output
+  mismatches per lane.
 
 Net values, settle, commit, forcing and flips are ints.  The output
 boundary is numpy: each cycle the primary outputs convert to packed
@@ -42,7 +42,7 @@ fault campaigns one span per workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -56,48 +56,18 @@ MISMATCH_CHUNK = 256
 
 
 @dataclass
-class PassTrace:
-    """Optional per-pass mismatch traces for incremental (ECO) reuse.
-
-    ``output_diff[c, o]`` holds the packed golden-vs-faulty mismatch
-    words of output *o* on cycle *c* **after strobe gating** (zero on
-    cycles where the output's strobe is inactive), so any subset union
-    of outputs reproduces the engine's own mismatch accounting bit for
-    bit.  ``flop_end_diff[q]`` holds the end-of-run state-corruption
-    words of flop *q* (the inputs to the latent classification).  Lanes
-    follow the pass's layout; golden and unused tail lanes are zero.
-    """
-
-    output_diff: np.ndarray    # uint64 (cycles, n_outputs, n_words)
-    flop_end_diff: np.ndarray  # uint64 (n_flops, n_words)
-
-    @classmethod
-    def allocate(cls, cycles: int, n_outputs: int, n_flops: int,
-                 n_words: int) -> "PassTrace":
-        return cls(
-            output_diff=np.zeros(
-                (cycles, n_outputs, n_words), dtype=np.uint64
-            ),
-            flop_end_diff=np.zeros(
-                (n_flops, n_words), dtype=np.uint64
-            ),
-        )
-
-
-@dataclass
 class PassResult:
     """Outcome of one :meth:`BitParallelSimulator.run_pass`.
 
     Every array is indexed ``[workload, fault]``: the count of cycles
     with a functional output mismatch, the first mismatch cycle (-1
     when never), and end-of-run state corruption for faults that never
-    reached an output.  ``trace`` is set only for traced passes.
+    reached an output.
     """
 
     error_cycles: np.ndarray     # int64 (n_workloads, n_faults)
     detection_cycle: np.ndarray  # int64 (n_workloads, n_faults)
     latent: np.ndarray           # bool (n_workloads, n_faults)
-    trace: Optional[PassTrace] = None
 
     def row(self, workload: int
             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -472,7 +442,6 @@ class BitParallelSimulator:
         workloads: Sequence[Workload],
         injection,
         observation=None,
-        trace: bool = False,
     ) -> PassResult:
         """Simulate every workload x every fault in one pass.
 
@@ -486,10 +455,6 @@ class BitParallelSimulator:
                 given, each output participates in the golden-vs-faulty
                 comparison only on cycles where its strobe is active in
                 the span's golden run.
-            trace: Also record a :class:`PassTrace` — the gated
-                per-output mismatch words of every cycle and the
-                end-of-run per-flop state diff — for incremental (ECO)
-                reuse.
         """
         cycles = {workload.cycles for workload in workloads}
         if len(cycles) != 1:
@@ -506,10 +471,6 @@ class BitParallelSimulator:
                                                    n_cycles)
         lanes = layout.lanes
         accumulator = MismatchAccumulator(layout.n_words)
-        record = PassTrace.allocate(
-            n_cycles, len(self._po_nets), len(self._flop_nets),
-            layout.n_words,
-        ) if trace else None
 
         for cycle in range(n_cycles):
             for net, flipped in flips.get(cycle, ()):
@@ -517,8 +478,6 @@ class BitParallelSimulator:
             self._drive(values, layout, stimulus[cycle])
             program.settle(values, keep, force, lanes)
             diff = self._output_diff(values, layout, observation)
-            if record is not None:
-                record.output_diff[cycle] = diff
             accumulator.record(np.bitwise_or.reduce(diff, axis=0), cycle)
             program.commit(values, keep, force, lanes)
 
@@ -530,14 +489,11 @@ class BitParallelSimulator:
         end_diff = layout.golden_diff(_words(
             [values[net] for net in self._flop_nets], layout.n_words
         ))
-        if record is not None:
-            record.flop_end_diff[:] = end_diff
         corrupted = _lane_flags(np.bitwise_or.reduce(end_diff, axis=0))
         return PassResult(
             error_cycles=layout.faults(accumulator.error_cycles()),
             detection_cycle=layout.faults(accumulator.detection_cycle),
             latent=layout.faults(corrupted & ~observed),
-            trace=record,
         )
 
 

@@ -1,7 +1,7 @@
 """The repo's single artifact-identity scheme.
 
-Every durable artifact — campaign checkpoints, ECO trace sidecars, and
-the content-addressed :mod:`repro.store` entries — is identified by a
+Every durable artifact — campaign checkpoints and the
+content-addressed :mod:`repro.store` entries — is identified by a
 sha256 fingerprint of its *full input closure*: a canonical-JSON header
 describing every parameter that shapes the artifact's bytes, plus the
 raw bytes of any referenced arrays.  :func:`canonical_hash` is the one

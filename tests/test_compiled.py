@@ -321,13 +321,7 @@ def test_hostile_escaped_identifiers_simulate_identically():
     faults = full_fault_universe(plain)
     injection = StuckAt(np.array([fault.net_index for fault in faults]),
                         np.array([fault.stuck_at for fault in faults]))
-    expected = BitParallelSimulator(plain).run_pass(
-        [workload], injection, trace=True,
-    )
-    actual = BitParallelSimulator(hostile).run_pass(
-        [twin], injection, trace=True,
-    )
+    expected = BitParallelSimulator(plain).run_pass([workload], injection)
+    actual = BitParallelSimulator(hostile).run_pass([twin], injection)
     for left, right in zip(actual.row(0), expected.row(0)):
         assert np.array_equal(left, right)
-    assert np.array_equal(actual.trace.output_diff,
-                          expected.trace.output_diff)

@@ -15,16 +15,13 @@ from repro.circuits import random_netlist
 from repro.core import AnalyzerConfig, EcoAnalysis, FaultCriticalityAnalyzer
 from repro.features import extract_features, patch_features
 from repro.fi import (
-    EcoTraces,
     WorkloadFailure,
     compute_dirty_region,
     run_campaign,
-    run_campaign_with_traces,
     run_eco_campaign,
     run_eco_transient_campaign,
     run_transient_campaign,
 )
-from repro.fi.eco import ECO_TRACES_NAME
 from repro.netlist import (
     Netlist,
     check_equivalence,
@@ -281,11 +278,20 @@ def test_eco_campaign_collapsed_dirty_pass(eco_pair, base_campaign,
 
 @pytest.mark.parametrize("collapse", [False, True])
 def test_eco_campaign_from_checkpoint_store(
-        eco_pair, full_new_campaign, tmp_path, collapse):
+        eco_pair, full_new_campaign, tmp_path, monkeypatch, collapse):
     old, new, workloads = eco_pair
     store = tmp_path / f"base-{collapse}"
     run_campaign(old, workloads, collapse=collapse,
                  checkpoint_dir=store)
+    if not collapse:
+        # An uncollapsed baseline matches its fingerprint without
+        # building the collapsed universe.
+        from repro.fi import collapse as collapse_module
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("collapsed an uncollapsed baseline")
+
+        monkeypatch.setattr(collapse_module, "collapse_faults", refuse)
     eco = run_eco_campaign(old, new, workloads,
                            base_checkpoint_dir=store)
     _assert_campaigns_bitwise(eco.result, full_new_campaign)
@@ -460,46 +466,11 @@ def test_cli_campaign_eco(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# trace-merge fast path: baseline traces + packed support-cone pass
+# cone rerun: mixed lengths, a strobed real design, old baselines
 # ----------------------------------------------------------------------
-def test_campaign_with_traces_bitwise(eco_pair, tmp_path):
-    """Recording traces must not perturb the campaign itself."""
-    old, _, workloads = eco_pair
-    plain = run_campaign(old, workloads, collapse=False)
-    traced, traces = run_campaign_with_traces(
-        old, workloads, checkpoint_dir=tmp_path / "base",
-    )
-    _assert_campaigns_bitwise(traced, plain)
-    assert traces.output_names == old.output_names()
-    assert traces.flop_names == [
-        gate.node_name for gate in old.sequential_gates()
-    ]
-    assert len(traces.output_diff) == len(workloads)
-    assert (tmp_path / "base" / ECO_TRACES_NAME).exists()
-
-
-def test_eco_trace_merge_bitwise(eco_pair, full_new_campaign,
-                                 tmp_path, monkeypatch):
-    """With a trace sidecar the ECO never re-simulates the full cone:
-    the dirty rows come from the packed support-cone pass, so the
-    fallback CampaignRunner must never be instantiated."""
-    old, new, workloads = eco_pair
-    store = tmp_path / "base"
-    run_campaign_with_traces(old, workloads, checkpoint_dir=store)
-
-    from repro.fi import runner as runner_module
-
-    def _no_fallback(*args, **kwargs):
-        raise AssertionError("trace merge fell back to a cone rerun")
-
-    monkeypatch.setattr(runner_module, "CampaignRunner", _no_fallback)
-    eco = run_eco_campaign(old, new, workloads,
-                           base_checkpoint_dir=store)
-    _assert_campaigns_bitwise(eco.result, full_new_campaign)
-
-
-def test_eco_trace_merge_nonuniform_cycles(tmp_path):
-    """Mixed workload lengths skip the packed pass but stay bitwise."""
+def test_eco_trace_merge_nonuniform_cycles():
+    """Mixed workload lengths run the dirty cone as one packed pass per
+    cycle count and still merge bitwise (an in-memory base)."""
     built = random_netlist(n_inputs=5, n_gates=30, n_flops=4,
                            n_outputs=4, seed=41, name="mixedlen")
     text = to_verilog(built)
@@ -513,16 +484,16 @@ def test_eco_trace_merge_nonuniform_cycles(tmp_path):
     ]
     workloads = short + long
 
-    base, traces = run_campaign_with_traces(old, workloads)
+    base = run_campaign(old, workloads, collapse=False)
     full = run_campaign(new, workloads, collapse=False)
-    eco = run_eco_campaign(old, new, workloads, base=base,
-                           base_traces=traces)
+    eco = run_eco_campaign(old, new, workloads, base=base)
     _assert_campaigns_bitwise(eco.result, full)
 
 
 def test_eco_trace_merge_strobed_design(tmp_path):
-    """The packed pass must reproduce per-workload strobe gating on a
-    real evaluation design with golden-gated observation windows."""
+    """The cone rerun reproduces per-workload strobe gating on a real
+    evaluation design with golden-gated observation windows, merging
+    from a checkpoint-directory base."""
     from repro.circuits import build_or1200_icfsm
     from repro.fi.observation import DESIGN_OBSERVATION, DESIGN_SEVERITY
 
@@ -535,8 +506,8 @@ def test_eco_trace_merge_strobed_design(tmp_path):
     severity = DESIGN_SEVERITY["or1200_icfsm"]
 
     store = tmp_path / "base"
-    run_campaign_with_traces(old, workloads, observation=spec,
-                             severity=severity, checkpoint_dir=store)
+    run_campaign(old, workloads, observation=spec, severity=severity,
+                 collapse=False, checkpoint_dir=store)
     full = run_campaign(new, workloads, observation=spec,
                         severity=severity, collapse=False)
     eco = run_eco_campaign(old, new, workloads, observation=spec,
@@ -545,54 +516,39 @@ def test_eco_trace_merge_strobed_design(tmp_path):
     _assert_campaigns_bitwise(eco.result, full)
 
 
-def test_eco_traces_roundtrip_and_corruption(eco_pair, tmp_path):
-    old, _, workloads = eco_pair
-    _, traces = run_campaign_with_traces(old, workloads)
-    path = tmp_path / ECO_TRACES_NAME
-    traces.save(path)
-    loaded = EcoTraces.load(path)
-    assert loaded.fingerprint == traces.fingerprint
-    assert loaded.output_names == traces.output_names
-    assert loaded.fault_keys() == traces.fault_keys()
-    for left, right in zip(loaded.output_diff, traces.output_diff):
-        assert np.array_equal(left, right)
-    for left, right in zip(loaded.flop_end_diff, traces.flop_end_diff):
-        assert np.array_equal(left, right)
+def test_eco_ignores_stray_trace_sidecar(tmp_path, capsys):
+    """Checkpoint directories once carried an ``eco_traces.npz``
+    sidecar beside the manifest.  ECO never opens it, so even a torn
+    one leaves the directory a valid baseline, through the library
+    and through ``campaign --eco``."""
+    from repro.__main__ import main
+    from repro.circuits import build_or1200_icfsm
+    from repro.io import load_campaign
 
-    truncated = tmp_path / "truncated.npz"
-    truncated.write_bytes(path.read_bytes()[:100])
-    with pytest.raises(EcoError, match="corrupt or truncated"):
-        EcoTraces.load(truncated)
-
-    # Hand-edited sidecars whose arrays disagree with their own name
-    # lists are refused on load, not left to an IndexError at merge.
-    edits = {
-        "output_diff_0": traces.output_diff[0][:, :, :-1],
-        "flop_end_diff_1": traces.flop_end_diff[1][1:],
-        "fault_stuck": traces.fault_stuck[1:],
-    }
-    for key, value in edits.items():
-        with np.load(path) as archive:
-            payload = {name: archive[name] for name in archive.files}
-        payload[key] = value
-        edited = tmp_path / f"edited_{key}.npz"
-        np.savez(edited, **payload)
-        with pytest.raises(EcoError, match="inconsistent"):
-            EcoTraces.load(edited)
-
-
-def test_eco_refuses_foreign_trace_sidecar(eco_pair, tmp_path):
-    """A sidecar whose fingerprint does not match the baseline store
-    is a typed refusal, never a silent merge."""
-    old, new, workloads = eco_pair
+    design = build_or1200_icfsm()
+    edited = tmp_path / "edited.v"
+    edited.write_text(_cell_swap(to_verilog(design), occurrence=3),
+                      encoding="utf-8")
     store = tmp_path / "base"
-    base, traces = run_campaign_with_traces(
-        old, workloads, checkpoint_dir=store,
-    )
-    foreign = replace(traces, fingerprint="not-this-campaign")
-    with pytest.raises(EcoError, match="different campaign"):
-        run_eco_campaign(old, new, workloads, base=base,
-                         base_traces=foreign)
+    common = ["campaign", "or1200_icfsm", "--workloads", "2",
+              "--cycles", "40", "--seed", "0"]
+    assert main(common + ["--checkpoint-dir", str(store)]) == 0
+    (store / "eco_traces.npz").write_bytes(
+        (store / "workload_0000.npz").read_bytes()[:100])
+
+    workloads = design_workloads(design.name, design, count=2,
+                                 cycles=40, seed=0)
+    new = from_verilog(edited.read_text(encoding="utf-8"))
+    full = run_campaign(new, workloads)
+    eco = run_eco_campaign(design, new, workloads,
+                           base_checkpoint_dir=store)
+    _assert_campaigns_bitwise(eco.result, full)
+
+    assert main(common + ["--eco", str(edited), "--base-checkpoint-dir",
+                          str(store), "--out",
+                          str(tmp_path / "eco.npz")]) == 0
+    assert "fault reuse:" in capsys.readouterr().out
+    _assert_campaigns_bitwise(load_campaign(tmp_path / "eco.npz"), full)
 
 
 # ----------------------------------------------------------------------

@@ -3,18 +3,16 @@
 Ground truth is ``tests/_reference_io`` (see its docstring).  For every
 persisted format the codec must
 
-* write byte-identical files, so old checkpoints, sidecars, ``--out``
-  files and store entries stay valid;
+* write byte-identical files, so old checkpoints, ``--out`` files and
+  store entries stay valid;
 * read reference-written files to objects equal to what the reference
   reader returns;
 * raise the reference's exception class for each kind of damage, with
   the damaged file's path in the message.
 
-Two deliberate differences are pinned down as such.  The ECO trace
-sidecar now checks dtype families: the reference accepted, say, float
-mismatch words, which then failed untyped inside the merge.  And the
-store's gridsearch/baselines JSON readers raise ``SerializationError``
-naming the path where the reference leaked a bare ``JSONDecodeError``,
+One deliberate difference is pinned down as such: the store's
+gridsearch/baselines JSON readers raise ``SerializationError`` naming
+the path where the reference leaked a bare ``JSONDecodeError``,
 ``UnicodeDecodeError`` or ``KeyError``; the store treats both as a miss.
 """
 
@@ -30,24 +28,14 @@ import pytest
 from repro import io
 from repro.core import AnalyzerConfig, FaultCriticalityAnalyzer
 from repro.explain.gnn_explainer import ExplainerConfig, GNNExplainer
-from repro.fi import (
-    EcoTraces,
-    WorkloadFailure,
-    run_campaign,
-    run_campaign_with_traces,
-    run_transient_campaign,
-)
+from repro.fi import WorkloadFailure, run_campaign, run_transient_campaign
 from repro.models import GCNClassifier
 from repro.nn import TrainingConfig
 from repro.nn.gridsearch import GridPoint, GridSearchResult
 from repro.sim import design_workloads
 from repro.store import AnalysisMemo, ArtifactStore
-from repro.utils.errors import (
-    CorruptArtifactError,
-    EcoError,
-    SerializationError,
-)
-from tests._reference_io import ref_eco, ref_io, ref_memo
+from repro.utils.errors import CorruptArtifactError, SerializationError
+from tests._reference_io import ref_io, ref_memo
 
 
 def assert_same(left, right):
@@ -149,11 +137,6 @@ def formats(icfsm, icfsm_analyzer):
     explanations = GNNExplainer(
         analyzer.classifier, data, config=ExplainerConfig(epochs=5),
     ).explain_many([0, 5, 11])
-    _, traces = run_campaign_with_traces(icfsm, workloads[:2])
-    ref_traces = ref_eco.EcoTraces(**{
-        field.name: getattr(traces, field.name)
-        for field in dataclasses.fields(traces)
-    })
 
     grid = GridSearchResult(points=[
         GridPoint(hidden_dims=(16, 8), dropout=0.1, lr=0.01,
@@ -226,12 +209,6 @@ def formats(icfsm, icfsm_analyzer):
                                explanations),
         "explanations-empty": via_io("save_explanations",
                                      "load_explanations", []),
-        "eco-traces": Format(
-            ".npz", traces.save, ref_traces.save, EcoTraces.load,
-            ref_eco.EcoTraces.load,
-            stricter=lambda label, reference_error: (
-                EcoError if label.startswith("dtype") else None),
-        ),
         "gridsearch": Format(
             ".json", grid_capture.writer, ref_memo.gridsearch_writer(grid),
             grid_capture.reader, ref_memo.gridsearch_reader,
@@ -251,7 +228,7 @@ FORMATS = [
     "campaign-stuck-at", "campaign-transient", "checkpoint", "dataset",
     "dataset-no-trials", "gcn-classifier", "gcn-regressor", "gcn-sage",
     "split", "features", "workloads", "graph-data", "explanations",
-    "explanations-empty", "eco-traces", "gridsearch", "baselines",
+    "explanations-empty", "gridsearch", "baselines",
 ]
 
 

@@ -7,10 +7,10 @@ ground truth is ``tests/_reference_sim`` — a frozen copy of the engine
 with those three passes (see that package's docstring).  On randomized
 designs, 1-4 workloads with uniform or mixed cycle counts, stuck-at
 and SEU faults, with and without a strobed observation spec, and fault
-counts that cross 64-lane word boundaries, every per-fault array and
-every trace array must equal the reference bit for bit.  Golden
-statistics, packed one lane per workload, must equal the reference's
-one-workload-at-a-time counts.
+counts that cross 64-lane word boundaries, every per-fault array must
+equal the reference's per-workload pass bit for bit, packed or one
+workload at a time.  Golden statistics, packed one lane per workload,
+must equal the reference's one-workload-at-a-time counts.
 """
 
 import numpy as np
@@ -32,7 +32,6 @@ from repro.utils.errors import SimulationError
 
 from tests._reference_sim.ref_bitparallel import (
     BitParallelSimulator as RefSimulator,
-    PassTrace as RefTrace,
 )
 
 
@@ -98,39 +97,22 @@ def test_stuck_at_matches_reference(data):
 
     kernel = BitParallelSimulator(netlist)
     reference = RefSimulator(netlist)
-    n_words = (len(nets) + 64) // 64
     for group in by_cycles(workloads):
         suite = [workloads[position] for position in group]
         packed = kernel.run_pass(suite, StuckAt(nets, values),
-                                 observation=compiled, trace=True)
+                                 observation=compiled)
         assert packed.error_cycles.shape == (len(suite), len(nets))
         for span, workload in enumerate(suite):
-            trace = RefTrace.allocate(
-                workload.cycles, len(netlist.primary_outputs),
-                len(netlist.sequential_gates()), n_words,
-            )
             expected = reference.run_fault_pass(
                 workload, nets, values, observation=compiled,
-                trace=trace,
             )
             for actual, wanted in zip(packed.row(span), expected):
                 assert_bitwise(actual, wanted)
 
             single = kernel.run_pass([workload], StuckAt(nets, values),
-                                     observation=compiled, trace=True)
+                                     observation=compiled)
             for actual, wanted in zip(single.row(0), expected):
                 assert_bitwise(actual, wanted)
-            assert_bitwise(single.trace.output_diff, trace.output_diff)
-            assert_bitwise(single.trace.flop_end_diff,
-                           trace.flop_end_diff)
-
-        expected_trace = reference.run_packed_fault_trace(
-            suite, nets, values, observation=compiled,
-        )
-        assert_bitwise(packed.trace.output_diff,
-                       expected_trace.output_diff)
-        assert_bitwise(packed.trace.flop_end_diff,
-                       expected_trace.flop_end_diff)
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,7 +132,6 @@ def test_upsets_match_reference(data):
         suite = [workloads[position] for position in group]
         packed = kernel.run_pass(suite, Upset(nets, cycles),
                                  observation=compiled)
-        assert packed.trace is None
         for span, workload in enumerate(suite):
             expected = reference.run_transient_pass(
                 workload, nets, cycles, observation=compiled,
@@ -204,7 +185,7 @@ def test_golden_stats_across_word_boundary(data):
 
 def test_strobed_design_suite_matches_reference(icfsm):
     """A real design with real strobes: four workloads packed into one
-    traced pass against the reference, per workload and packed."""
+    pass against the reference's per-workload passes."""
     workloads = design_workloads(icfsm.name, icfsm, count=4, cycles=60,
                                  seed=5)
     compiled = observation_for(icfsm).compile(icfsm)
@@ -214,7 +195,6 @@ def test_strobed_design_suite_matches_reference(icfsm):
                       dtype=np.uint8)
     packed = BitParallelSimulator(icfsm).run_pass(
         workloads, StuckAt(nets, values), observation=compiled,
-        trace=True,
     )
     reference = RefSimulator(icfsm)
     for span, workload in enumerate(workloads):
@@ -222,12 +202,6 @@ def test_strobed_design_suite_matches_reference(icfsm):
                                             observation=compiled)
         for actual, wanted in zip(packed.row(span), expected):
             assert_bitwise(actual, wanted)
-    expected_trace = reference.run_packed_fault_trace(
-        workloads, nets, values, observation=compiled,
-    )
-    assert_bitwise(packed.trace.output_diff, expected_trace.output_diff)
-    assert_bitwise(packed.trace.flop_end_diff,
-                   expected_trace.flop_end_diff)
 
 
 def test_mixed_cycle_counts_rejected():
