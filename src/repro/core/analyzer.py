@@ -34,7 +34,6 @@ from repro.features.extract import NodeFeatures, extract_features
 from repro.features.incremental import patch_features
 from repro.fi.campaign import CampaignResult, run_campaign
 from repro.fi.dataset import CriticalityDataset, dataset_from_campaign
-from repro.fi.eco import EcoResult, run_eco_campaign
 from repro.graph.data import GraphData, build_graph_data
 from repro.graph.split import Split, stratified_split
 from repro.metrics.classification import ConfusionMatrix
@@ -50,11 +49,20 @@ from repro.utils.workerpool import map_supervised, worker_count
 
 if TYPE_CHECKING:
     from repro.explain.gnn_explainer import GNNExplainer
+    from repro.fi.eco import EcoResult
 
 logger = logging.getLogger("repro.core")
 
 #: The GCN heads an analyzer trains, by attribute name.
 _HEADS = ("classifier", "regressor")
+
+
+def run_eco_campaign(*args, **kwargs) -> "EcoResult":
+    """:func:`repro.fi.eco.run_eco_campaign`, imported when called, so
+    that a run which edits no netlist never loads the ECO code."""
+    from repro.fi.eco import run_eco_campaign as run
+
+    return run(*args, **kwargs)
 
 
 @dataclass

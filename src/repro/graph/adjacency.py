@@ -4,33 +4,181 @@ The paper's GCN layer propagates through the normalized adjacency
 ``A* = D^-1/2 (A + I) D^-1/2`` (symmetric normalization with
 self-loops); row normalization ``D^-1 (A + I)`` is provided for the
 ablation benchmark.
+
+The matrices are :class:`CSRMatrix` objects built in numpy, so
+inference needs no scipy.  Their arrays are byte for byte what the
+scipy construction (``coo + coo.T``, ``diags @ A [@ diags]``) left,
+and their products are bitwise equal to scipy's; the training engine
+runs scipy's sparse kernels on the same arrays, and ``tocsr()`` hands
+the explainer a scipy matrix.
 """
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.utils.errors import ModelError
 
 
+def _index_dtype(*sizes: int) -> type:
+    """scipy's index dtype: int32 unless a size needs more."""
+    return np.int32 if max(sizes, default=0) <= np.iinfo(np.int32).max \
+        else np.int64
+
+
+class CSRMatrix:
+    """A compressed-sparse-row matrix with scipy's product semantics.
+
+    ``A @ x`` adds each output row's terms ``data[k] * x[indices[k]]``
+    to ``0.0`` in stored order, which is how scipy's ``csr_matvec(s)``
+    accumulate, so the products are bitwise equal; ``A.T`` is the
+    transpose laid out in the order ``csc_matvecs`` visits it (source
+    rows ascending).  1-D and 2-D operands are accepted.  The arrays
+    are shared, not copied: treat them as read-only.
+    """
+
+    format = "csr"
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray,
+                 indptr: np.ndarray, shape: Tuple[int, int]):
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = (int(shape[0]), int(shape[1]))
+        self._transpose = None
+        self._plan = None
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def _rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype),
+                         np.diff(self.indptr))
+
+    @property
+    def T(self) -> "CSRMatrix":
+        """The transpose (built once, then cached both ways)."""
+        if self._transpose is None:
+            # A stable sort by column keeps each column's entries in
+            # row order: the order csc_matvecs adds them in.
+            order = np.argsort(self.indices, kind="stable")
+            indptr = np.zeros(self.shape[1] + 1, dtype=self.indptr.dtype)
+            np.cumsum(np.bincount(self.indices, minlength=self.shape[1]),
+                      out=indptr[1:])
+            transpose = CSRMatrix(self.data[order], self._rows()[order],
+                                  indptr, self.shape[::-1])
+            transpose._transpose = self
+            self._transpose = transpose
+        return self._transpose
+
+    def _product_plan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      List[tuple]]:
+        """``(rank, columns, values, blocks)``, built once.
+
+        The rows are ordered longest first; ``rank`` maps each row to
+        its place in that order.  ``columns`` and ``values`` hold every
+        row's first term, then every row's second, and so on, the rows
+        in that order within each position, so position ``k`` adds one
+        contiguous run of terms to the first ``counts[k]`` ordered
+        rows.  ``blocks`` groups consecutive positions as ``(start,
+        stop, counts)`` with at most as many terms as the output has
+        nonempty rows: one block's terms are gathered at a time, so a
+        product never holds more than an output's worth of them.
+        """
+        if self._plan is None:
+            order = np.argsort(-np.diff(self.indptr), kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            rows = self._rows()
+            position = np.arange(self.nnz) - self.indptr[rows]
+            entries = np.lexsort((rank[rows], position))
+            counts = np.bincount(position).tolist()
+            blocks, start, size, block = [], 0, 0, []
+            for count in counts:
+                if block and size + count > counts[0]:
+                    blocks.append((start, start + size, block))
+                    start, size, block = start + size, 0, []
+                block.append(count)
+                size += count
+            if block:
+                blocks.append((start, start + size, block))
+            self._plan = (rank, self.indices[entries], self.data[entries],
+                          blocks)
+        return self._plan
+
+    def __matmul__(self, other) -> np.ndarray:
+        x = np.asarray(other)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ValueError(
+                f"matmul: dimension mismatch {self.shape} @ {x.shape}"
+            )
+        rank, columns, values, blocks = self._product_plan()
+        dtype = np.result_type(self.data, x)
+        ordered = np.zeros((self.shape[0],) + x.shape[1:], dtype=dtype)
+        for start, stop, counts in blocks:
+            terms = x[columns[start:stop]].astype(dtype, copy=False)
+            terms *= (values[start:stop] if x.ndim == 1
+                      else values[start:stop, None])
+            offset = 0
+            for count in counts:
+                ordered[:count] += terms[offset:offset + count]
+                offset += count
+        return ordered[rank]
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix."""
+        dense = np.zeros(self.shape, dtype=self.dtype)
+        np.add.at(dense, (self._rows(), self.indices), self.data)
+        return dense
+
+    def tocsr(self):
+        """A ``scipy.sparse.csr_matrix`` over copies of the arrays."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix(
+            (self.data.copy(), self.indices.copy(), self.indptr.copy()),
+            shape=self.shape,
+        )
+
+
+def _canonical(rows: np.ndarray, cols: np.ndarray,
+               n_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(row, col)`` pairs, sorted by row, then column."""
+    keys = np.unique(rows.astype(np.int64) * n_nodes + cols)
+    return keys // n_nodes, keys % n_nodes
+
+
+def _binary(rows: np.ndarray, cols: np.ndarray,
+            n_nodes: int) -> CSRMatrix:
+    """The 0/1 matrix of canonical pairs (at most one per cell)."""
+    index_dtype = _index_dtype(n_nodes, len(rows))
+    indptr = np.zeros(n_nodes + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+    return CSRMatrix(np.ones(len(rows)), cols.astype(index_dtype),
+                     indptr, (n_nodes, n_nodes))
+
+
 def adjacency_matrix(edge_index: np.ndarray, n_nodes: int,
-                     undirected: bool = True) -> sp.csr_matrix:
+                     undirected: bool = True) -> CSRMatrix:
     """Binary sparse adjacency from a ``(2, E)`` edge list."""
     if edge_index.ndim != 2 or edge_index.shape[0] != 2:
         raise ModelError("edge_index must have shape (2, E)")
     rows, cols = edge_index
     if len(rows) and (rows.max() >= n_nodes or cols.max() >= n_nodes):
         raise ModelError("edge index exceeds node count")
-    data = np.ones(len(rows), dtype=np.float64)
-    matrix = sp.coo_matrix(
-        (data, (rows, cols)), shape=(n_nodes, n_nodes)
-    )
     if undirected:
-        matrix = matrix + matrix.T
-    matrix = matrix.tocsr()
-    matrix.data[:] = 1.0  # collapse duplicates to binary
-    return matrix
+        rows, cols = (np.concatenate([rows, cols]),
+                      np.concatenate([cols, rows]))
+    # Duplicates collapse to one binary entry.
+    return _binary(*_canonical(rows, cols, n_nodes), n_nodes)
 
 
 def normalized_adjacency(
@@ -38,7 +186,7 @@ def normalized_adjacency(
     n_nodes: int,
     mode: str = "symmetric",
     self_loops: bool = True,
-) -> sp.csr_matrix:
+) -> CSRMatrix:
     """The propagation matrix ``A*`` of Eq. 2.
 
     Args:
@@ -47,19 +195,35 @@ def normalized_adjacency(
         mode: ``"symmetric"`` for ``D^-1/2 Â D^-1/2`` (the paper's
             choice) or ``"row"`` for ``D^-1 Â``.
         self_loops: Add the identity to ``A`` before normalizing.
-    """
-    adjacency = adjacency_matrix(edge_index, n_nodes)
-    if self_loops:
-        adjacency = (adjacency + sp.identity(n_nodes, format="csr"))
-        adjacency.data[:] = np.minimum(adjacency.data, 1.0)
 
-    degree = np.asarray(adjacency.sum(axis=1)).ravel()
+    Symmetric rows store their columns ascending, row-normalized ones
+    descending: the orders scipy's ``diags @ A @ diags`` and
+    ``diags @ A`` products leave, which the stored-order sums of every
+    product follow.
+    """
+    if mode not in ("symmetric", "row"):
+        raise ModelError(f"unknown normalization mode {mode!r}")
+    adjacency = adjacency_matrix(edge_index, n_nodes)
+    rows = adjacency._rows().astype(np.int64)
+    cols = adjacency.indices.astype(np.int64)
+    if self_loops:
+        diagonal = np.arange(n_nodes, dtype=np.int64)
+        rows, cols = _canonical(np.concatenate([rows, diagonal]),
+                                np.concatenate([cols, diagonal]), n_nodes)
+        adjacency = _binary(rows, cols, n_nodes)
+
+    degree = np.diff(adjacency.indptr).astype(np.float64)
     degree[degree == 0.0] = 1.0  # isolated nodes keep zero rows finite
 
     if mode == "symmetric":
-        inv_sqrt = sp.diags(1.0 / np.sqrt(degree))
-        return (inv_sqrt @ adjacency @ inv_sqrt).tocsr()
-    if mode == "row":
-        inv = sp.diags(1.0 / degree)
-        return (inv @ adjacency).tocsr()
-    raise ModelError(f"unknown normalization mode {mode!r}")
+        inv_sqrt = 1.0 / np.sqrt(degree)
+        adjacency.data = inv_sqrt[rows] * inv_sqrt[cols]
+        return adjacency
+    # Reverse each row's columns: the entry ``k`` places into its row
+    # takes the column ``k`` places from the row's end.
+    offset = np.arange(adjacency.nnz) - adjacency.indptr[rows]
+    adjacency.indices = adjacency.indices[
+        adjacency.indptr[rows + 1] - 1 - offset
+    ]
+    adjacency.data = (1.0 / degree)[rows]
+    return adjacency

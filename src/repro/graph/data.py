@@ -6,11 +6,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.features.extract import NodeFeatures
 from repro.fi.dataset import CriticalityDataset
-from repro.graph.adjacency import normalized_adjacency
+from repro.graph.adjacency import CSRMatrix, normalized_adjacency
 from repro.graph.build import netlist_edges
 from repro.netlist.netlist import Netlist
 from repro.utils.errors import ModelError
@@ -52,7 +51,7 @@ class GraphData:
         return self.x.shape[1]
 
     def a_norm(self, mode: str = "symmetric",
-               self_loops: bool = True) -> sp.csr_matrix:
+               self_loops: bool = True) -> CSRMatrix:
         """The normalized propagation matrix (cached per mode)."""
         key = (mode, self_loops)
         if key not in self._a_norm_cache:

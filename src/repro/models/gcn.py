@@ -23,8 +23,8 @@ import copy
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.graph.adjacency import CSRMatrix
 from repro.graph.data import GraphData
 from repro.graph.split import Split
 from repro.nn.modules import (
@@ -56,7 +56,7 @@ DROPOUT_AFTER_LAYER = 2
 def build_gcn_stack(
     in_features: int,
     out_features: int,
-    a_norm: sp.csr_matrix,
+    a_norm: CSRMatrix,
     hidden_dims: Sequence[int] = DEFAULT_HIDDEN_DIMS,
     dropout: float = DEFAULT_DROPOUT,
     log_softmax: bool = True,
@@ -93,6 +93,9 @@ class _GCNHead:
 
     out_features: int
     log_softmax: bool
+    #: The eval-mode output on the bound graph, computed on first use;
+    #: ``fit``, ``restore`` and ``transfer_to`` bind anew and drop it.
+    _bound_output: Optional[np.ndarray] = None
 
     def _build(self, data: GraphData) -> Sequential:
         return build_gcn_stack(
@@ -106,6 +109,19 @@ class _GCNHead:
         if self.model is None:
             raise ModelError("predict before fit")
         return self.model
+
+    def _forward(self, data: Optional[GraphData]) -> np.ndarray:
+        """The eval-mode output on ``data`` (default: the bound
+        graph, whose output is computed once).  Callers derive new
+        arrays from it and never hand it out."""
+        model = self._require_fitted()
+        if data is not None and data is not self._data:
+            model.eval()
+            return model.forward(data.x)
+        if self._bound_output is None:
+            model.eval()
+            self._bound_output = model.forward(self._data.x)
+        return self._bound_output
 
     def restore(self, data: GraphData,
                 weights: Sequence[np.ndarray]) -> "_GCNHead":
@@ -134,6 +150,7 @@ class _GCNHead:
         model.eval()
         self.model = model
         self._data = data
+        self._bound_output = None
         return self
 
     def transfer_to(self, data: GraphData) -> "_GCNHead":
@@ -199,22 +216,20 @@ class GCNClassifier(_GCNHead):
             cache=data.propagation_cache(),
         )
         self._data = data
+        self._bound_output = None
         return self
 
     def log_probs(self, data: Optional[GraphData] = None) -> np.ndarray:
         """``(N, 2)`` log class probabilities for all nodes."""
-        model = self._require_fitted()
-        data = data if data is not None else self._data
-        model.eval()
-        return model.forward(data.x)
+        return self._forward(data).copy()
 
     def predict_proba(self, data: Optional[GraphData] = None) -> np.ndarray:
         """``(N, 2)`` class probabilities for all nodes."""
-        return np.exp(self.log_probs(data))
+        return np.exp(self._forward(data))
 
     def predict(self, data: Optional[GraphData] = None) -> np.ndarray:
         """``argmax(GCN(x))`` hard labels for all nodes (§3.3.1)."""
-        return self.log_probs(data).argmax(axis=1)
+        return self._forward(data).argmax(axis=1)
 
     def accuracy(self, mask: np.ndarray,
                  data: Optional[GraphData] = None) -> float:
@@ -266,11 +281,9 @@ class GCNRegressor(_GCNHead):
             cache=data.propagation_cache(),
         )
         self._data = data
+        self._bound_output = None
         return self
 
     def predict(self, data: Optional[GraphData] = None) -> np.ndarray:
         """Continuous criticality scores, clipped to [0, 1]."""
-        model = self._require_fitted()
-        data = data if data is not None else self._data
-        model.eval()
-        return np.clip(model.forward(data.x).reshape(-1), 0.0, 1.0)
+        return np.clip(self._forward(data).reshape(-1), 0.0, 1.0)

@@ -6,12 +6,16 @@ extends the same idea to *training*.  :func:`compile_workspace` walks a
 :class:`~repro.nn.modules.Sequential` once, preallocates every
 activation, mask, and gradient buffer the stack will ever need, and
 binds each layer to direct scipy sparse kernels
-(``csr_matvecs``/``csc_matvecs``) writing into that reused memory — so
-a full training run performs no per-epoch allocation and no scipy
-``__matmul__`` dispatch.  The compiled forward/backward replicates the
-module implementations operation for operation: with the default
-*exact* semantics the per-epoch losses, metrics, and final weights are
-bitwise identical to :meth:`Sequential.forward`/``backward``
+(``csr_matvecs``/``csc_matvecs``, run on the propagation matrix's own
+CSR arrays) writing into that reused memory — so a full training run
+performs no per-epoch allocation and no ``__matmul__`` dispatch.  The
+kernels add each output row's terms in the order
+:class:`~repro.graph.adjacency.CSRMatrix` products do, so the engine
+needs scipy and the module path does not.  The compiled
+forward/backward replicates the module implementations operation for
+operation: with the default *exact* semantics the per-epoch losses,
+metrics, and final weights are bitwise identical to
+:meth:`Sequential.forward`/``backward``
 (``tests/test_training_bitwise.py`` locks this against frozen
 pre-rewrite copies of the module code).
 
@@ -37,7 +41,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from repro.nn.modules import (
@@ -48,6 +51,7 @@ from repro.nn.modules import (
     Module,
     Parameter,
     ReLU,
+    SAGEConv,
     Sequential,
     Sigmoid,
     Tanh,
@@ -73,7 +77,7 @@ class PropagationCache:
     def __len__(self) -> int:
         return len(self._products)
 
-    def get(self, a_norm: sp.spmatrix, x: np.ndarray) -> np.ndarray:
+    def get(self, a_norm, x: np.ndarray) -> np.ndarray:
         """``a_norm @ x``, computed at most once per operand pair."""
         key = (id(a_norm), id(x))
         entry = self._products.get(key)
@@ -120,17 +124,23 @@ def pack_parameters(model: Module) -> _PackedModel:
     return _PackedModel(packed)
 
 
-def _spmm_args(matrix: sp.spmatrix, n_cols: int, x: Optional[np.ndarray],
-               out: np.ndarray) -> tuple:
+def _spmm_args(matrix, n_cols: int, x: Optional[np.ndarray],
+               out: np.ndarray, transpose: bool = False) -> tuple:
     """Frozen argument tuple for a ``sparsetools`` matvecs kernel.
 
-    The kernel accumulates ``matrix @ x`` into ``out`` (callers zero
-    ``out`` first) — bitwise identical to scipy's ``__matmul__``, minus
+    With ``csr_matvecs`` the kernel accumulates ``matrix @ x`` into
+    ``out``; with ``transpose`` the shape is swapped for
+    ``csc_matvecs``, which reads the same CSR arrays as the CSC form of
+    ``matrix.T`` and accumulates ``matrix.T @ x`` (callers zero ``out``
+    first).  Both are bitwise identical to the matrix's ``@``, minus
     the per-call dispatch, shape introspection, and result allocation.
     ``x`` may be ``None`` when the input operand is only known at call
     time (the caller appends ``x.ravel()`` then).
     """
-    head = (matrix.shape[0], matrix.shape[1], n_cols,
+    n_rows, n_columns = matrix.shape
+    if transpose:
+        n_rows, n_columns = n_columns, n_rows
+    head = (n_rows, n_columns, n_cols,
             matrix.indptr, matrix.indices, matrix.data)
     return head + (x.ravel(), out.ravel()) if x is not None else head
 
@@ -163,10 +173,9 @@ class _GCNLayer(_Layer):
     """``H' = A* (H W) + b`` with the reference operand order.
 
     Forward: dense ``src @ W`` into a scratch, then one csr kernel into
-    ``out``.  Backward: one csc kernel (against a transpose built once
-    at compile time — the module path re-derives ``A.T`` every call)
-    into the same scratch, then two dense products into parameter-shaped
-    scratch buffers accumulated onto the grads.
+    ``out``.  Backward: one csc kernel (``A.T`` read from A's own
+    arrays) into the same scratch, then two dense products into
+    parameter-shaped scratch buffers accumulated onto the grads.
     """
 
     def __init__(self, module: GCNConv, src: np.ndarray):
@@ -180,7 +189,8 @@ class _GCNLayer(_Layer):
         self._fwd_args = _spmm_args(a, width, self._scratch, self.out)
         # Backward's spmm input is the incoming gradient, only known at
         # call time; the frozen head carries everything else.
-        self._bwd_head = _spmm_args(a.T, width, None, self._scratch)
+        self._bwd_head = _spmm_args(a, width, None, self._scratch,
+                                    transpose=True)
         self._scratch_flat = self._scratch.ravel()
         self._w_scratch = np.empty_like(module.weight.value)
         if module.bias is not None:
@@ -230,7 +240,8 @@ class _GCNLayerAX(_Layer):
         self._ax = np.empty_like(src)
         self._grad_in = np.empty_like(src)
         self._fwd_args = _spmm_args(a, f_in, src, self._ax)
-        self._bwd_args = _spmm_args(a.T, f_in, self._ax, self._grad_in)
+        self._bwd_args = _spmm_args(a, f_in, self._ax, self._grad_in,
+                                    transpose=True)
         self._w_scratch = np.empty_like(module.weight.value)
         if module.bias is not None:
             self._b_scratch = np.empty_like(module.bias.value)
@@ -296,6 +307,64 @@ class _GCNLayerCached(_Layer):
             np.matmul(self._ones, grad, out=self._b_scratch)
             module.bias.grad += self._b_scratch
         return None
+
+
+class _SAGELayer(_Layer):
+    """``H' = H W_self + (A H) W_neigh + b`` in the module's order.
+
+    Forward: one csr kernel for the aggregate ``A H`` (kept for the
+    neighbour weight's gradient), then two dense products summed into
+    ``out``.  Backward: the two weight gradients, then the input
+    gradient ``G W_self^T + A^T (G W_neigh^T)`` with ``A^T`` read from
+    A's own arrays by a csc kernel.
+    """
+
+    def __init__(self, module: SAGEConv, src: np.ndarray):
+        super().__init__(src, module.weight_self.shape[1])
+        self.module = module
+        a = module.a_mean
+        f_in = src.shape[1]
+        self._aggregated = np.empty_like(src)
+        self._neighbor = np.empty_like(self.out)
+        self._fwd_args = _spmm_args(a, f_in, src, self._aggregated)
+        self._w_scratch = np.empty_like(module.weight_self.value)
+        if module.bias is not None:
+            self._b_scratch = np.empty_like(module.bias.value)
+        self._grad_in = np.empty_like(src)
+        self._grad_neighbor = np.empty_like(src)
+        self._grad_propagated = np.empty_like(src)
+        self._bwd_args = _spmm_args(a, f_in, self._grad_neighbor,
+                                    self._grad_propagated, transpose=True)
+
+    def forward(self, training: bool) -> None:
+        module = self.module
+        self._aggregated.fill(0.0)
+        _sparsetools.csr_matvecs(*self._fwd_args)
+        np.matmul(self.src, module.weight_self.value, out=self.out)
+        np.matmul(self._aggregated, module.weight_neighbor.value,
+                  out=self._neighbor)
+        self.out += self._neighbor
+        if module.bias is not None:
+            self.out += module.bias.value
+
+    def backward(self, grad: np.ndarray) -> Optional[np.ndarray]:
+        module = self.module
+        np.matmul(self.src.T, grad, out=self._w_scratch)
+        module.weight_self.grad += self._w_scratch
+        np.matmul(self._aggregated.T, grad, out=self._w_scratch)
+        module.weight_neighbor.grad += self._w_scratch
+        if module.bias is not None:
+            np.add.reduce(grad, axis=0, out=self._b_scratch)
+            module.bias.grad += self._b_scratch
+        if not self.need_input_grad:
+            return None
+        np.matmul(grad, module.weight_self.value.T, out=self._grad_in)
+        np.matmul(grad, module.weight_neighbor.value.T,
+                  out=self._grad_neighbor)
+        self._grad_propagated.fill(0.0)
+        _sparsetools.csc_matvecs(*self._bwd_args)
+        self._grad_in += self._grad_propagated
+        return self._grad_in
 
 
 class _LinearLayer(_Layer):
@@ -484,6 +553,7 @@ class _LogSoftmaxLayer(_Layer):
 
 _COMPILERS = {
     GCNConv: _GCNLayer,
+    SAGEConv: _SAGELayer,
     Linear: _LinearLayer,
     ReLU: _ReLULayer,
     Sigmoid: _SigmoidLayer,
@@ -548,7 +618,8 @@ def _dense_matrix(x) -> Optional[np.ndarray]:
 
 
 def _usable_adjacency(a, n_nodes: int) -> bool:
-    return (sp.issparse(a) and a.format == "csr"
+    """A float64 CSR matrix (ours or scipy's) of the graph's size."""
+    return (getattr(a, "format", None) == "csr"
             and a.shape == (n_nodes, n_nodes)
             and a.dtype == np.float64)
 
@@ -562,10 +633,10 @@ def compile_workspace(
     """Compile ``model`` into a :class:`TrainingWorkspace`.
 
     Returns ``None`` when the model is not a compilable stack (not a
-    :class:`Sequential`, contains an unsupported layer such as
-    ``SAGEConv``, or the input/adjacency types don't match the kernel
-    contracts) — the caller then falls back to the generic module
-    implementation, which handles everything.
+    :class:`Sequential`, contains a layer type without a compiler, or
+    the input/adjacency types don't match the kernel contracts) — the
+    caller then falls back to the generic module implementation, which
+    handles everything.
     """
     if not isinstance(model, Sequential) or not model.modules:
         return None
@@ -577,6 +648,10 @@ def compile_workspace(
         compiler = _COMPILERS.get(type(module))
         if compiler is None:
             return None
+        if isinstance(module, SAGEConv):
+            if (module.weight_self.shape[0] != src.shape[1]
+                    or not _usable_adjacency(module.a_mean, src.shape[0])):
+                return None
         if isinstance(module, (GCNConv, Linear)):
             if module.weight.shape[0] != src.shape[1]:
                 return None

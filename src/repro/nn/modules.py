@@ -10,14 +10,16 @@ are ``(N, F)`` matrices, one row per graph node.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.nn.init import glorot_uniform
 from repro.utils.errors import ModelError
 from repro.utils.rng import SeedLike, derive_rng, rng_from_seed
+
+if TYPE_CHECKING:
+    from repro.graph.adjacency import CSRMatrix
 
 
 class Parameter:
@@ -125,7 +127,7 @@ class GCNConv(Module):
     """
 
     def __init__(self, in_features: int, out_features: int,
-                 a_norm: sp.csr_matrix, bias: bool = True,
+                 a_norm: "CSRMatrix", bias: bool = True,
                  seed: SeedLike = 0):
         rng = rng_from_seed(seed) if not isinstance(seed, np.random.Generator) else seed
         self.a_norm = a_norm
@@ -175,7 +177,7 @@ class SAGEConv(Module):
     """
 
     def __init__(self, in_features: int, out_features: int,
-                 a_mean: sp.csr_matrix, bias: bool = True,
+                 a_mean: "CSRMatrix", bias: bool = True,
                  seed: SeedLike = 0):
         rng = rng_from_seed(seed) if not isinstance(seed, np.random.Generator) else seed
         self.a_mean = a_mean

@@ -42,34 +42,6 @@ MISMATCH_CHUNK = 256
 
 
 @dataclass
-class PassTrace:
-    """Optional per-pass mismatch traces for incremental (ECO) reuse.
-
-    ``output_diff[c, o]`` holds the packed golden-vs-faulty mismatch
-    words of output *o* on cycle *c* **after strobe gating** (zero on
-    cycles where the output's strobe is inactive), so any subset union
-    of outputs reproduces the engine's own mismatch accounting bit for
-    bit.  ``flop_end_diff[q]`` holds the end-of-run state-corruption
-    words of flop *q* (the inputs to the latent classification).
-    """
-
-    output_diff: np.ndarray    # uint64 (cycles, n_outputs, n_words)
-    flop_end_diff: np.ndarray  # uint64 (n_flops, n_words)
-
-    @classmethod
-    def allocate(cls, cycles: int, n_outputs: int, n_flops: int,
-                 n_words: int) -> "PassTrace":
-        return cls(
-            output_diff=np.zeros(
-                (cycles, n_outputs, n_words), dtype=np.uint64
-            ),
-            flop_end_diff=np.zeros(
-                (n_flops, n_words), dtype=np.uint64
-            ),
-        )
-
-
-@dataclass
 class GoldenStats:
     """Per-net activity profile accumulated over golden simulations.
 
@@ -392,7 +364,6 @@ class BitParallelSimulator:
 
     def _compare_outputs(
         self, values: np.ndarray, observation, scratch: _PassScratch,
-        trace_row: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """One cycle's packed mismatch mask (a view into scratch)."""
         mismatch = scratch.mismatch
@@ -411,18 +382,13 @@ class BitParallelSimulator:
                 scratch.diff, axis=0, out=mismatch,
                 where=compare[:, None], initial=0,
             )
-            if trace_row is not None:
-                trace_row[compare] = scratch.diff[compare]
         else:
             np.bitwise_or.reduce(scratch.diff, axis=0, out=mismatch)
-            if trace_row is not None:
-                trace_row[:] = scratch.diff
         return mismatch
 
     def _latent_flags(
         self, values: np.ndarray, n_machines: int,
         observed: np.ndarray,
-        trace: Optional[PassTrace] = None,
     ) -> np.ndarray:
         """End-of-run state corruption that never reached an output."""
         if not len(self._flop_out_idx):
@@ -430,8 +396,6 @@ class BitParallelSimulator:
         state = values[self._flop_out_idx]
         golden_state = (state[:, 0] & np.uint64(1)).astype(bool)
         per_flop = state ^ np.where(golden_state[:, None], ONES, ZERO)
-        if trace is not None:
-            trace.flop_end_diff[:] = per_flop
         state_diff = np.bitwise_or.reduce(per_flop, axis=0)
         corrupted = _machine_flags(state_diff, n_machines)[1:]
         return corrupted & ~observed
@@ -498,7 +462,6 @@ class BitParallelSimulator:
         fault_nets: np.ndarray,
         fault_values: np.ndarray,
         observation=None,
-        trace: Optional[PassTrace] = None,
     ):
         """Simulate one workload against all faults simultaneously.
 
@@ -511,10 +474,6 @@ class BitParallelSimulator:
                 given, each output participates in the golden-vs-faulty
                 comparison only on cycles where its strobe is active in
                 the golden run.
-            trace: Optional pre-allocated :class:`PassTrace`; when
-                given, the gated per-output mismatch words of every
-                cycle and the end-of-run per-flop state diff are
-                recorded for incremental (ECO) reuse.
 
         Returns:
             ``(error_cycles, detection_cycle, latent)`` — per-fault
@@ -555,10 +514,8 @@ class BitParallelSimulator:
         for cycle in range(workload.cycles):
             self._apply_inputs(values, stimulus[cycle])
             self._settle(values, masks, scratch)
-            mismatch = self._compare_outputs(
-                values, observation, scratch,
-                trace.output_diff[cycle] if trace is not None else None,
-            )
+            mismatch = self._compare_outputs(values, observation,
+                                             scratch)
             accumulator.record(mismatch, cycle)
             self._commit(values, masks, scratch)
 
@@ -568,152 +525,9 @@ class BitParallelSimulator:
             )
 
         observed = accumulator.observed()
-        latent = self._latent_flags(values, n_machines, observed,
-                                    trace)
+        latent = self._latent_flags(values, n_machines, observed)
         return (accumulator.error_cycles(),
                 accumulator.detection_cycle, latent)
-
-    def run_packed_fault_trace(
-        self,
-        workloads: Sequence[Workload],
-        fault_nets: np.ndarray,
-        fault_values: np.ndarray,
-        observation=None,
-    ) -> PassTrace:
-        """Every workload x every fault in ONE bit-parallel pass.
-
-        The machine axis is laid out workload-major: workload *w* owns
-        the contiguous lane span ``[w*(n_faults+1), (w+1)*(n_faults+1))``
-        with its own golden machine at the span start, so stimulus,
-        golden comparison, and strobe gating are all per-span.  With a
-        small netlist (an ECO support cone) the per-cycle Python
-        dispatch is the entire cost, and packing divides it by the
-        workload count.
-
-        Requires uniform workload cycle counts.  Returns only a
-        :class:`PassTrace` (per-output gated mismatch words, per-flop
-        end-state diff) — the caller slices per-(workload, fault) lanes
-        out of the packed words.
-        """
-        cycles = {workload.cycles for workload in workloads}
-        if len(cycles) != 1:
-            raise SimulationError(
-                "packed fault trace requires uniform workload cycle "
-                f"counts, got {sorted(cycles)}"
-            )
-        n_cycles = cycles.pop()
-        for workload in workloads:
-            self._check_workload(workload)
-
-        n_faults = len(fault_nets)
-        span = n_faults + 1
-        n_machines = span * len(workloads)
-        n_words = (n_machines + 63) // 64
-        n_nets = self.netlist.n_nets
-
-        machine = np.concatenate([
-            group * span + 1 + np.arange(n_faults)
-            for group in range(len(workloads))
-        ])
-        nets_tiled = np.tile(np.asarray(fault_nets, dtype=np.intp),
-                             len(workloads))
-        values_tiled = np.tile(
-            np.asarray(fault_values, dtype=np.uint8), len(workloads)
-        )
-        words, bits = machine >> 6, machine & 63
-        bit_masks = np.uint64(1) << bits.astype(np.uint64)
-        clear = np.zeros((n_nets, n_words), dtype=np.uint64)
-        force = np.zeros((n_nets, n_words), dtype=np.uint64)
-        np.bitwise_or.at(clear, (nets_tiled, words), bit_masks)
-        stuck_one = values_tiled.astype(bool)
-        np.bitwise_or.at(
-            force,
-            (nets_tiled[stuck_one], words[stuck_one]),
-            bit_masks[stuck_one],
-        )
-
-        # Per-span packed masks: group_masks[w] covers workload w's
-        # lanes; valid_mask zeroes the unused tail of the last word.
-        all_machines = np.arange(n_machines)
-        span_of = all_machines // span
-        lane_bits = np.zeros((len(workloads), n_words * 64),
-                             dtype=np.uint8)
-        lane_bits[span_of, all_machines] = 1
-        group_masks = np.packbits(
-            lane_bits, axis=1, bitorder="little"
-        ).view(np.uint64)
-        valid_mask = np.bitwise_or.reduce(group_masks, axis=0)
-
-        # Stimulus: per-machine words (each lane replays its span's
-        # workload), packed once up front.
-        golden_machines = (np.arange(len(workloads)) * span)
-        stimulus = np.stack(
-            [w.vectors.astype(np.uint8) for w in workloads], axis=2
-        )  # (cycles, n_pi, n_workloads)
-        machine_bits = np.zeros(
-            (n_cycles, len(self._pi_idx), n_words * 64), dtype=np.uint8
-        )
-        machine_bits[:, :, :n_machines] = stimulus[:, :, span_of]
-        stim_words = np.packbits(
-            machine_bits, axis=2, bitorder="little"
-        ).view(np.uint64)  # (cycles, n_pi, n_words)
-
-        scratch = self._scratch(n_words)
-        masks = _FaultMasks(self, clear, force, scratch)
-        trace = PassTrace.allocate(
-            n_cycles, len(self._po_idx), len(self._flop_out_idx),
-            n_words,
-        )
-        golden_words = (golden_machines >> 6).astype(np.intp)
-        golden_shift = (golden_machines & 63).astype(np.uint64)
-
-        def span_broadcast(rows: np.ndarray) -> np.ndarray:
-            """Per-row packed golden broadcast: each span filled with
-            its own golden machine's bit."""
-            golden = ((rows[:, golden_words] >> golden_shift)
-                      & np.uint64(1)).astype(bool)
-            return golden.astype(np.uint64) @ group_masks
-
-        values = force.copy()
-        po_idx = self._po_idx
-        for cycle in range(n_cycles):
-            values[self._pi_idx] = stim_words[cycle]
-            self._settle(values, masks, scratch)
-            if len(po_idx):
-                po = values.take(po_idx, axis=0)
-                diff = (po ^ span_broadcast(po)) & valid_mask
-                if observation is not None:
-                    gated = self._packed_compare_gate(
-                        po, observation, group_masks,
-                        golden_words, golden_shift,
-                    )
-                    diff &= gated
-                trace.output_diff[cycle] = diff
-            self._commit(values, masks, scratch)
-
-        if len(self._flop_out_idx):
-            state = values[self._flop_out_idx]
-            trace.flop_end_diff[:] = (
-                (state ^ span_broadcast(state)) & valid_mask
-            )
-        return trace
-
-    def _packed_compare_gate(
-        self, po: np.ndarray, observation, group_masks: np.ndarray,
-        golden_words: np.ndarray, golden_shift: np.ndarray,
-    ) -> np.ndarray:
-        """Per-output packed compare-enable words for one cycle: a
-        strobed output keeps only the spans whose golden strobe value
-        is active; unstrobed outputs keep every span."""
-        golden = ((po[:, golden_words] >> golden_shift)
-                  & np.uint64(1)).astype(bool)  # (n_out, n_spans)
-        enabled = np.ones_like(golden)
-        strobed = observation.strobe_index >= 0
-        enabled[strobed] = (
-            golden[observation.strobe_index[strobed]]
-            == observation.strobe_active[strobed, None].astype(bool)
-        )
-        return enabled.astype(np.uint64) @ group_masks
 
     # ------------------------------------------------------------------
     # transient (SEU) campaign

@@ -35,13 +35,11 @@ def _count_runners(monkeypatch) -> list:
     return built
 
 
-def test_cli_eco_round_trip_takes_trace_merge(tmp_path, monkeypatch,
-                                              capsys):
+def test_cli_eco_round_trip_takes_cone_rerun(tmp_path, monkeypatch,
+                                             capsys):
     """``campaign --checkpoint-dir D`` then ``campaign --eco EDITED.v
     --base-checkpoint-dir D --out F``: the dirty faults re-simulate on
-    a ``CampaignRunner`` and ``F`` equals a full rerun.  (The name
-    predates the removal of the trace merge this round trip once
-    took.)"""
+    a ``CampaignRunner`` and ``F`` equals a full rerun."""
     design = build_design("or1200_icfsm")
     edited = tmp_path / "edited.v"
     edited.write_text(_cell_swap(to_verilog(design), occurrence=11),

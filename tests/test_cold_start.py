@@ -11,7 +11,12 @@ the artifact store) pays little else.  So:
 * ``--help`` loads no ``scipy.sparse``;
 * a warm ``analyze`` loads none of the engines whose results it reads
   back (campaign runner, bit-parallel simulator, training engine,
-  explainer, baselines) nor designs and tools it does not use.
+  explainer, baselines), nor the ECO code (``repro.fi.eco``,
+  ``repro.netlist.diff``), nor designs and tools it does not use;
+* neither a warm ``analyze`` nor an ``analyze --eco`` against a filled
+  store loads any scipy module or ``numpy.f2py``: scipy serves the
+  training engine and the explainer only, and the report's GCN
+  forward passes run on the numpy propagation matrix.
 
 The checks are structural rather than timings, so host noise cannot
 flake them, and each runs in a fresh interpreter, because the test
@@ -20,8 +25,13 @@ process has long since imported everything.
 
 import json
 
+import pytest
+
+from repro.circuits import build_design
+from repro.netlist import to_verilog
 from repro.store import ArtifactStore
 from tests._fresh import run_fresh
+from tests.test_eco import _cell_swap
 
 #: Modules that no CLI command may load (with their submodules).
 FORBIDDEN = ("scipy.stats", "networkx")
@@ -43,7 +53,11 @@ WARM_FORBIDDEN = (
     "repro.circuits.random_circuits",
     "repro.netlist.optimize", "repro.netlist.equivalence",
     "repro.sim.xsim", "repro.sim.vcd",
+    "repro.fi.eco", "repro.netlist.diff",
 )
+
+#: Modules neither a warm nor an ECO ``analyze`` may load.
+INFERENCE_FORBIDDEN = ("scipy", "numpy.f2py")
 
 #: Runs ``main(argv)`` quietly; prints the exit status, every loaded
 #: module and which of them are packages.
@@ -109,12 +123,31 @@ def test_help_loads_no_scipy_sparse():
     assert _loaded(record, ["scipy.sparse"]) == []
 
 
-def test_warm_analyze_loads_no_engine(tmp_path):
-    store = tmp_path / "store"
+@pytest.fixture(scope="module")
+def filled_store(tmp_path_factory):
+    """A store filled by a cold ``analyze``, with its argv."""
+    store = tmp_path_factory.mktemp("cold-start") / "store"
     argv = ANALYZE + ["--store", str(store)]
-    _run_cli(argv)  # fills the store
+    _run_cli(argv)
+    return store, argv
+
+
+def test_warm_analyze_loads_no_engine(filled_store):
+    store, argv = filled_store
     misses = ArtifactStore(store).stats()["misses"]
     record = _run_cli(argv)
     assert ArtifactStore(store).stats()["misses"] == misses  # all hits
     assert _loaded(record, WARM_FORBIDDEN) == []
+    assert _loaded(record, FORBIDDEN) == []
+    assert _loaded(record, INFERENCE_FORBIDDEN) == []
+
+
+def test_eco_analyze_loads_no_scipy(filled_store, tmp_path):
+    store, argv = filled_store
+    edited = tmp_path / "edited.v"
+    edited.write_text(_cell_swap(to_verilog(build_design("sdram")),
+                                 occurrence=3), encoding="utf-8")
+    record = _run_cli(argv + ["--eco", str(edited)])
+    assert "repro.fi.eco" in record["modules"]  # the edit ran
+    assert _loaded(record, INFERENCE_FORBIDDEN) == []
     assert _loaded(record, FORBIDDEN) == []

@@ -468,7 +468,7 @@ def test_cli_campaign_eco(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # cone rerun: mixed lengths, a strobed real design, old baselines
 # ----------------------------------------------------------------------
-def test_eco_trace_merge_nonuniform_cycles():
+def test_eco_cone_rerun_nonuniform_cycles():
     """Mixed workload lengths run the dirty cone as one packed pass per
     cycle count and still merge bitwise (an in-memory base)."""
     built = random_netlist(n_inputs=5, n_gates=30, n_flops=4,
@@ -490,7 +490,7 @@ def test_eco_trace_merge_nonuniform_cycles():
     _assert_campaigns_bitwise(eco.result, full)
 
 
-def test_eco_trace_merge_strobed_design(tmp_path):
+def test_eco_cone_rerun_strobed_design(tmp_path):
     """The cone rerun reproduces per-workload strobe gating on a real
     evaluation design with golden-gated observation windows, merging
     from a checkpoint-directory base."""

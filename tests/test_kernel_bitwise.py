@@ -4,7 +4,7 @@
 replaced three separate passes: the per-workload stuck-at pass, the
 packed multi-workload trace pass and the transient (SEU) pass.  The
 ground truth is ``tests/_reference_sim`` — a frozen copy of the engine
-with those three passes (see that package's docstring).  On randomized
+with the stuck-at and transient passes (see that package's docstring).  On randomized
 designs, 1-4 workloads with uniform or mixed cycle counts, stuck-at
 and SEU faults, with and without a strobed observation spec, and fault
 counts that cross 64-lane word boundaries, every per-fault array must

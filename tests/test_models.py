@@ -274,3 +274,55 @@ def test_unknown_conv_rejected():
     a_norm = normalized_adjacency(np.array([[0], [1]]), 2)
     with pytest.raises(ModelError):
         build_gcn_stack(4, 2, a_norm, conv="gat")
+
+
+def _fresh_forward(head, data):
+    head.model.eval()
+    return head.model.forward(data.x)
+
+
+def test_head_output_cache_follows_the_bound_weights():
+    """A head computes its eval output on the bound graph once; fit,
+    restore and transfer_to drop it, and no caller can change it."""
+    data = synthetic_graph(n=60, seed=0)
+    other = synthetic_graph(n=45, seed=9)
+    split = stratified_split(data.y_class, 0.25, seed=1)
+    model = GCNClassifier(seed=0,
+                          config=TrainingConfig(epochs=40)).fit(data, split)
+    trained = _fresh_forward(model, data)
+    assert np.array_equal(model.log_probs(), trained)
+
+    for answer in (model.log_probs(), model.predict_proba(),
+                   model.predict()):
+        answer[...] = 7
+    assert np.array_equal(model.log_probs(), trained)
+    assert np.array_equal(model.predict(), trained.argmax(axis=1))
+
+    model.config = TrainingConfig(epochs=3)
+    model.fit(data, split)
+    refit = _fresh_forward(model, data)
+    assert not np.array_equal(refit, trained)
+    assert np.array_equal(model.log_probs(), refit)
+
+    model.restore(data, [parameter.value * 0.5
+                         for parameter in model.model.parameters()])
+    restored = _fresh_forward(model, data)
+    assert not np.array_equal(restored, refit)
+    assert np.array_equal(model.log_probs(), restored)
+
+    moved = model.transfer_to(other)
+    assert np.array_equal(moved.log_probs(), _fresh_forward(moved, other))
+    assert np.array_equal(model.log_probs(data), restored)
+
+
+def test_regressor_output_cache_is_not_handed_out():
+    data = synthetic_graph(n=60, seed=3)
+    split = stratified_split(data.y_class, 0.25, seed=1)
+    model = GCNRegressor(seed=0,
+                         config=TrainingConfig(epochs=30)).fit(data, split)
+    scores = model.predict()
+    expected = scores.copy()
+    scores[:] = 5.0
+    assert np.array_equal(model.predict(), expected)
+    moved = model.transfer_to(synthetic_graph(n=45, seed=9))
+    assert moved.predict().shape == (45,)

@@ -331,7 +331,47 @@ def test_workspace_rejects_unknown_modules():
     a_norm = normalized_adjacency(edges, 4, mode="row",
                                   self_loops=False)
     sage = Sequential(SAGEConv(3, 2, a_norm))
-    assert compile_workspace(sage, x) is None
+    assert compile_workspace(sage, x) is not None
+    assert compile_workspace(Sequential(Strange(Linear(3, 2))), x) is None
+
+
+@pytest.mark.parametrize("head", ["classifier", "regressor"])
+def test_compiled_sage_matches_module_path(head):
+    """``SAGEConv`` stacks train on the engine: weights, history and
+    eval-mode outputs equal the module path's bit for bit."""
+    from repro.circuits import build_or1200_icfsm
+    from repro.features.extract import extract_features
+    from repro.graph.build import netlist_edges
+
+    netlist = build_or1200_icfsm()
+    x = extract_features(netlist,
+                         probability_source="cop").standardized().matrix
+    n = netlist.n_gates
+    a_mean = normalized_adjacency(netlist_edges(netlist), n, mode="row",
+                                  self_loops=False)
+    rng = np.random.default_rng(11)
+    train_mask = rng.random(n) < 0.7
+    classify = head == "classifier"
+    targets = ((rng.random(n) < 0.3).astype(np.int64) if classify
+               else rng.random(n))
+    train = train_classifier if classify else train_regressor
+    runs = []
+    for engine in ("auto", "module"):
+        model = build_gcn_stack(x.shape[1], 2 if classify else 1, a_mean,
+                                log_softmax=classify, seed=4, conv="sage")
+        history = train(model, x, targets, train_mask, ~train_mask,
+                        TrainingConfig(epochs=120, engine=engine))
+        model.eval()
+        runs.append((model, history, model.forward(x)))
+    (compiled, history, output), (module, module_history,
+                                  module_output) = runs
+    assert compile_workspace(compiled, x) is not None
+    assert history.train_loss == module_history.train_loss
+    assert history.val_metric == module_history.val_metric
+    assert history.best_epoch == module_history.best_epoch
+    for ours, theirs in zip(compiled.parameters(), module.parameters()):
+        assert ours.value.tobytes() == theirs.value.tobytes()
+    assert output.tobytes() == module_output.tobytes()
 
 
 def test_gcn_conv_operand_order_flag():
