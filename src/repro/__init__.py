@@ -19,18 +19,32 @@ Quickstart::
 
 import atexit
 import gc
-
-# numpy maps its OpenBLAS, which the budget below sizes to one thread.
-import numpy  # noqa: F401
+import os
+import sys
 
 from repro._lazy import lazy_exports
-from repro.utils.parallel import budget_blas_threads
+from repro.utils.parallel import BLAS_THREAD_ENV, budget_blas_threads
+
+# numpy maps its OpenBLAS, which starts as many threads as the host
+# has cores unless told otherwise when it loads; a thread resized
+# afterwards keeps spinning for a while.  So when this package loads
+# numpy and the user sized no BLAS, OpenBLAS loads with one thread,
+# and the variable is gone again before anything can inherit it.
+if "numpy" not in sys.modules and not any(
+        name in os.environ for name in BLAS_THREAD_ENV):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+else:
+    import numpy  # noqa: F401
 
 __version__ = "1.0.0"
 
-# Every entry point (the CLI, scripts on the public API, fork workers
-# that inherit it) imports this package after numpy has mapped its
-# OpenBLAS, so this is the one place the budget takes effect.
+# A process that imported numpy before this package (a script on the
+# public API, a host program) has its OpenBLAS sized here instead; fork
+# workers inherit either.
 budget_blas_threads()
 
 # Skip the interpreter's last full collection at exit: it walks every

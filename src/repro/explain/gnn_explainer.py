@@ -19,7 +19,13 @@ so this is a throughput-critical path):
   (the exact L-hop node set): the CSR slice of the propagation matrix,
   its transpose permutation, the undirected-edge list and the
   nnz-to-edge gather maps are built once and shared by every node with
-  that signature.
+  that signature.  Every sparse matrix is a numpy-built
+  :class:`~repro.graph.adjacency.CSRMatrix` (slices, transpose slices
+  and block diagonals come from :mod:`repro.graph.adjacency`, byte for
+  byte what the scipy constructions left), and every product is scipy's
+  ``csr_matvecs`` kernel from
+  :func:`~repro.graph.adjacency.sparse_kernels`, so explaining imports
+  no ``scipy.sparse`` package.
 * Target nodes are grouped by subgraph size and stacked into
   **block-diagonal batches**: one sparse-matmul forward/backward pass
   per epoch drives K nodes' masks at once.  Blocks cannot interact —
@@ -52,18 +58,27 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from repro.explain.explanation import ExplainerConfig, Explanation
+from repro.graph.adjacency import (
+    CSRMatrix,
+    adjacency_matrix,
+    block_diagonal,
+    csr_from_coo,
+    sparse_kernels,
+    submatrix,
+)
 from repro.graph.data import GraphData
 from repro.models.gcn import GCNClassifier
 from repro.netlist.netlist import csr_gather
 from repro.nn.modules import Parameter, functional_plan
 from repro.nn.optim import Adam
+from repro.utils.arrays import sorted_unique
 from repro.utils.errors import ModelError
 from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.workerpool import map_supervised
+
+_sparsetools = sparse_kernels()
 
 #: Nodes per block-diagonal batch.  Large enough to amortize the
 #: per-epoch numpy dispatch over many masks, small enough that one
@@ -75,7 +90,7 @@ def _sigmoid(values: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(values, -60.0, 60.0)))
 
 
-def _spmm_into(matrix: sp.csr_matrix, dense: np.ndarray,
+def _spmm_into(matrix: CSRMatrix, dense: np.ndarray,
                out: np.ndarray) -> np.ndarray:
     """``out = matrix @ dense`` into a preallocated buffer.
 
@@ -95,15 +110,9 @@ def undirected_csr(
     edge_index: np.ndarray, n_nodes: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(indptr, indices)`` of the undirected adjacency structure."""
-    source, target = np.asarray(edge_index).reshape(2, -1)
-    rows = np.concatenate([source, target])
-    cols = np.concatenate([target, source])
-    adjacency = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-        shape=(n_nodes, n_nodes),
+    adjacency = adjacency_matrix(
+        np.asarray(edge_index).reshape(2, -1), n_nodes
     )
-    adjacency.sum_duplicates()
-    adjacency.sort_indices()
     return adjacency.indptr, adjacency.indices
 
 
@@ -125,7 +134,7 @@ def hop_levels(
         fresh = neighbors[level[neighbors] < 0]
         if len(fresh) == 0:
             break
-        frontier = np.unique(fresh)
+        frontier = sorted_unique(fresh)
         level[frontier] = hop
     nodes = np.flatnonzero(level >= 0)
     return nodes, level[nodes]
@@ -155,20 +164,17 @@ class _SubgraphSignature:
         "cr_valid", "used_mask", "x_sub",
     )
 
-    def __init__(self, a_norm: sp.csr_matrix, x: np.ndarray,
+    def __init__(self, a_norm: CSRMatrix, x: np.ndarray,
                  nodes: np.ndarray):
         self.nodes = nodes
         self.size = len(nodes)
-        sub = a_norm[nodes][:, nodes].tocsr()
-        sub.sum_duplicates()
-        sub.eliminate_zeros()
-        sub.sort_indices()
+        sub = submatrix(a_norm, nodes)
         self.adjacency = sub
         self.base_data = sub.data.copy()
 
-        coo = sub.tocoo()
-        self.coo_rows = coo.row.astype(np.int64)
-        self.coo_cols = coo.col.astype(np.int64)
+        self.coo_rows = np.repeat(np.arange(self.size),
+                                  np.diff(sub.indptr))
+        self.coo_cols = sub.indices.astype(np.int64)
         position = np.full((self.size, self.size), -1, dtype=np.int64)
         position[self.coo_rows, self.coo_cols] = np.arange(sub.nnz)
 
@@ -220,7 +226,7 @@ class _NodePlan:
         self.gather_idx: List[np.ndarray] = []
         self.gather_rows: List[np.ndarray] = []
         self.gather_cols: List[np.ndarray] = []
-        self.t_struct: List[sp.csr_matrix] = []
+        self.t_struct: List[CSRMatrix] = []
         self.t_perm: List[np.ndarray] = []
         for layer in range(1, n_hops + 1):
             live = row_level <= n_hops - layer
@@ -232,13 +238,11 @@ class _NodePlan:
             # data carries position+1 so the CSR conversion's sort
             # yields the data-refresh permutation.
             t_idx = np.flatnonzero(live)
-            t_sub = sp.csr_matrix(
-                (t_idx.astype(np.float64) + 1.0,
-                 (signature.coo_cols[t_idx],
-                  signature.coo_rows[t_idx])),
-                shape=(signature.size, signature.size),
+            t_sub = csr_from_coo(
+                signature.coo_cols[t_idx], signature.coo_rows[t_idx],
+                t_idx.astype(np.float64) + 1.0,
+                (signature.size, signature.size),
             )
-            t_sub.sort_indices()
             self.t_struct.append(t_sub)
             self.t_perm.append(t_sub.data.astype(np.int64) - 1)
 
@@ -260,11 +264,9 @@ class _ExplainScratch:
         self.n_nodes = len(signatures)
         self.size = signatures[0].size
 
-        adjacency = sp.block_diag(
-            [signature.adjacency for signature in signatures],
-            format="csr",
+        adjacency = block_diagonal(
+            [signature.adjacency for signature in signatures]
         )
-        adjacency.sort_indices()
         self.adjacency = adjacency
         self.data = adjacency.data            # mutated every epoch
 
@@ -308,7 +310,7 @@ class _ExplainScratch:
         # the batch: gather coordinates plus the block-diagonal
         # live-row transpose slices and their data-refresh gathers.
         flat = self.n_nodes * self.size
-        self.t_blocks: List[sp.csr_matrix] = []
+        self.t_blocks: List[CSRMatrix] = []
         self.t_perms: List[np.ndarray] = []
         self.gather_idx: List[np.ndarray] = []
         self.gather_rows: List[np.ndarray] = []
@@ -321,12 +323,10 @@ class _ExplainScratch:
         gcn_widths = [(layer[1].shape[0], layer[1].shape[1])
                       for layer in plan if layer[0] == "gcn"]
         for ordinal, (w_in, w_out) in enumerate(gcn_widths):
-            t_block = sp.block_diag(
+            t_block = block_diagonal(
                 [node_plan.t_struct[ordinal]
-                 for node_plan in self.plans],
-                format="csr",
+                 for node_plan in self.plans]
             )
-            t_block.sort_indices()
             self.t_blocks.append(t_block)
             self.t_perms.append(concat([
                 node_plan.t_perm[ordinal] + offset
@@ -576,7 +576,7 @@ class GNNExplainer:
         # its target class from.
         self._a_norm = data.a_norm(
             classifier.adjacency_mode, classifier.self_loops
-        ).tocsr()
+        )
         self._indptr, self._indices = undirected_csr(
             data.edge_index, data.n_nodes
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.netlist.netlist import Netlist
+from repro.utils.arrays import sorted_unique
 
 
 def connection_counts(netlist: Netlist) -> np.ndarray:
@@ -78,7 +79,7 @@ def output_distances(netlist: Netlist) -> np.ndarray:
         distance[frontier] = level
         drivers = adjacency.fanin_rows(frontier)
         if drivers.size:
-            drivers = np.unique(drivers[~visited[drivers]])
+            drivers = sorted_unique(drivers[~visited[drivers]])
         visited[drivers] = True
         frontier = drivers
         level += 1.0

@@ -73,6 +73,7 @@ from repro.fi.faults import Fault, full_fault_universe
 from repro.netlist.diff import NetlistDiff, diff_netlists
 from repro.netlist.netlist import Netlist
 from repro.sim.waveform import Workload
+from repro.utils.arrays import sorted_unique
 from repro.utils.errors import CampaignError, EcoError
 
 PathLike = Union[str, Path]
@@ -87,11 +88,11 @@ def _closure(gather, seeds: Iterable[int], n_gates: int) -> np.ndarray:
     ``fanin_rows``): bool mask of every gate reachable from ``seeds``,
     seeds included."""
     reached = np.zeros(n_gates, dtype=bool)
-    frontier = np.unique(np.fromiter(seeds, dtype=np.int64))
+    frontier = sorted_unique(np.fromiter(seeds, dtype=np.int64))
     reached[frontier] = True
     while frontier.size:
         neighbours = gather(frontier)
-        fresh = np.unique(neighbours[~reached[neighbours]])
+        fresh = sorted_unique(neighbours[~reached[neighbours]])
         reached[fresh] = True
         frontier = fresh
     return reached

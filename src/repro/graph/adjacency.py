@@ -8,18 +8,75 @@ ablation benchmark.
 The matrices are :class:`CSRMatrix` objects built in numpy, so
 inference needs no scipy.  Their arrays are byte for byte what the
 scipy construction (``coo + coo.T``, ``diags @ A [@ diags]``) left,
-and their products are bitwise equal to scipy's; the training engine
-runs scipy's sparse kernels on the same arrays, and ``tocsr()`` hands
-the explainer a scipy matrix.
+and their products are bitwise equal to scipy's.  This module owns the
+CSR layout: the explainer's subgraph slices, transpose slices and
+block diagonals are built here too (:func:`submatrix`,
+:func:`csr_from_coo`, :func:`block_diagonal`), byte for byte what
+scipy's indexing, coo conversion and ``block_diag`` left.  The training
+engine and the explainer run scipy's compiled kernels on these arrays,
+loaded by :func:`sparse_kernels` without the ``scipy.sparse`` package;
+only ``tocsr()`` builds a scipy matrix.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import functools
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from types import ModuleType
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
 from repro.utils.errors import ModelError
+
+#: The compiled extension that holds scipy's sparse kernels.
+_KERNELS = "scipy.sparse._sparsetools"
+
+
+def _load_kernels(directories: Sequence[str]) -> ModuleType:
+    """:data:`_KERNELS` from its binary in the first of ``directories``
+    that holds one, else imported through its package."""
+    module = sys.modules.get(_KERNELS)
+    if module is not None:
+        return module
+    for directory in directories:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "_sparsetools" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(_KERNELS, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(
+                    _KERNELS, path, loader=loader)
+            )
+            loader.exec_module(module)
+            sys.modules[_KERNELS] = module
+            return module
+    return importlib.import_module(_KERNELS)
+
+
+@functools.cache
+def sparse_kernels() -> ModuleType:
+    """scipy's compiled sparse kernels (``csr_matvecs``, ``csc_matvecs``).
+
+    ``import scipy.sparse`` would run the package and its ~75 modules,
+    with the ``numpy.f2py`` and ``numpy.testing`` they pull in, for two
+    C functions.  The extension is loaded alone instead, from scipy's
+    installed ``sparse/`` directory and under its own name, so it is the
+    binary scipy's ``@`` runs, and a later ``import scipy.sparse`` finds
+    it in ``sys.modules`` and keeps it (``from scipy.sparse import
+    _sparsetools`` returns it; the package attribute stays unset).
+    Where scipy keeps no such file, it is imported through the package.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy is not None else None
+    return _load_kernels([os.path.join(root, "sparse")
+                          for root in roots or ()])
 
 
 def _index_dtype(*sizes: int) -> type:
@@ -140,7 +197,12 @@ class CSRMatrix:
         return dense
 
     def tocsr(self):
-        """A ``scipy.sparse.csr_matrix`` over copies of the arrays."""
+        """A ``scipy.sparse.csr_matrix`` over copies of the arrays.
+
+        The one place ``repro`` imports the ``scipy.sparse`` package;
+        nothing in the pipeline calls it (tests and
+        ``benchmarks/bench_training.py`` do).
+        """
         import scipy.sparse as sp
 
         return sp.csr_matrix(
@@ -149,21 +211,77 @@ class CSRMatrix:
         )
 
 
+def csr_from_coo(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+                 shape: Tuple[int, int]) -> CSRMatrix:
+    """The CSR matrix of distinct ``(row, col)`` entries, each row's
+    columns ascending: scipy's ``csr_matrix((data, (rows, cols)))``
+    after ``sort_indices()``, for coordinates without duplicates."""
+    index_dtype = _index_dtype(*shape, len(rows))
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return CSRMatrix(data[order], cols[order].astype(index_dtype),
+                     indptr, shape)
+
+
+def submatrix(matrix: CSRMatrix, nodes: np.ndarray) -> CSRMatrix:
+    """Rows and columns ``nodes`` of a matrix without duplicate entries.
+
+    Byte for byte scipy's ``matrix[nodes][:, nodes]`` after
+    ``sum_duplicates()``, ``eliminate_zeros()`` and ``sort_indices()``:
+    entry ``(i, j)`` is ``matrix[nodes[i], nodes[j]]``, stored zeros are
+    dropped and each row's columns ascend.  ``nodes`` are distinct.
+    """
+    position = np.full(matrix.shape[1], -1, dtype=np.int64)
+    position[nodes] = np.arange(len(nodes))
+    starts = matrix.indptr[nodes].astype(np.int64)
+    counts = matrix.indptr[nodes + 1] - starts
+    # The stored positions of the chosen rows, one row after another.
+    entries = (np.repeat(starts - (np.cumsum(counts) - counts), counts)
+               + np.arange(counts.sum()))
+    rows = np.repeat(np.arange(len(nodes)), counts)
+    cols = position[matrix.indices[entries]]
+    data = matrix.data[entries]
+    keep = (cols >= 0) & (data != 0)
+    return csr_from_coo(rows[keep], cols[keep], data[keep],
+                        (len(nodes), len(nodes)))
+
+
+def block_diagonal(blocks: Sequence[CSRMatrix]) -> CSRMatrix:
+    """``blocks`` along the diagonal, over fresh arrays.
+
+    Byte for byte scipy's ``block_diag(blocks, format="csr")`` after
+    ``sort_indices()`` when each block's rows store their columns
+    ascending, as :func:`csr_from_coo` and :func:`submatrix` leave them.
+    """
+    n_rows = sum(block.shape[0] for block in blocks)
+    n_cols = sum(block.shape[1] for block in blocks)
+    nnz = sum(block.nnz for block in blocks)
+    index_dtype = _index_dtype(n_rows, n_cols, nnz)
+    indices, indptr = [], [np.zeros(1, dtype=index_dtype)]
+    col_offset = nnz_offset = 0
+    for block in blocks:
+        indices.append(block.indices.astype(index_dtype) + col_offset)
+        indptr.append(block.indptr[1:].astype(index_dtype) + nnz_offset)
+        col_offset += block.shape[1]
+        nnz_offset += block.nnz
+    return CSRMatrix(np.concatenate([block.data for block in blocks]),
+                     np.concatenate(indices), np.concatenate(indptr),
+                     (n_rows, n_cols))
+
+
 def _canonical(rows: np.ndarray, cols: np.ndarray,
                n_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct ``(row, col)`` pairs, sorted by row, then column."""
-    keys = np.unique(rows.astype(np.int64) * n_nodes + cols)
+    keys = sorted_unique(rows.astype(np.int64) * n_nodes + cols)
     return keys // n_nodes, keys % n_nodes
 
 
 def _binary(rows: np.ndarray, cols: np.ndarray,
             n_nodes: int) -> CSRMatrix:
     """The 0/1 matrix of canonical pairs (at most one per cell)."""
-    index_dtype = _index_dtype(n_nodes, len(rows))
-    indptr = np.zeros(n_nodes + 1, dtype=index_dtype)
-    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
-    return CSRMatrix(np.ones(len(rows)), cols.astype(index_dtype),
-                     indptr, (n_nodes, n_nodes))
+    return csr_from_coo(rows, cols, np.ones(len(rows)),
+                        (n_nodes, n_nodes))
 
 
 def adjacency_matrix(edge_index: np.ndarray, n_nodes: int,

@@ -12,6 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
 from repro.utils.errors import ModelError
 from repro.utils.rng import SeedLike, derive_rng
 
@@ -51,7 +52,7 @@ def stratified_split(
 
     rng = derive_rng(seed, "stratified_split")
     val_mask = np.zeros(len(labels), dtype=bool)
-    for value in np.unique(labels):
+    for value in sorted_unique(labels):
         members = np.flatnonzero(labels == value)
         rng.shuffle(members)
         count = int(round(val_fraction * len(members)))
@@ -81,7 +82,7 @@ def kfold_splits(
 
     rng = derive_rng(seed, "kfold")
     fold_of = np.zeros(len(labels), dtype=np.int64)
-    for value in np.unique(labels):
+    for value in sorted_unique(labels):
         members = np.flatnonzero(labels == value)
         rng.shuffle(members)
         fold_of[members] = np.arange(len(members)) % k

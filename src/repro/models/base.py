@@ -14,6 +14,7 @@ from typing import Dict, Type
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
 from repro.utils.errors import ModelError
 
 
@@ -43,7 +44,7 @@ class BaseClassifier:
         y = np.asarray(y)
         if x.ndim != 2 or len(x) != len(y):
             raise ModelError("x must be (N, F) aligned with y")
-        labels = np.unique(y)
+        labels = sorted_unique(y)
         if not np.isin(labels, (0, 1)).all():
             raise ModelError(
                 f"labels must be 0 and 1; found {labels.tolist()}"

@@ -11,7 +11,9 @@ CSR arrays) writing into that reused memory — so a full training run
 performs no per-epoch allocation and no ``__matmul__`` dispatch.  The
 kernels add each output row's terms in the order
 :class:`~repro.graph.adjacency.CSRMatrix` products do, so the engine
-needs scipy and the module path does not.  The compiled
+needs scipy and the module path does not; they come from
+:func:`~repro.graph.adjacency.sparse_kernels`, which loads their one
+extension without importing the ``scipy.sparse`` package.  The compiled
 forward/backward replicates the module implementations operation for
 operation: with the default *exact* semantics the per-epoch losses,
 metrics, and final weights are bitwise identical to
@@ -41,8 +43,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
+from repro.graph.adjacency import sparse_kernels
 from repro.nn.modules import (
     Dropout,
     GCNConv,
@@ -57,6 +59,8 @@ from repro.nn.modules import (
     Tanh,
 )
 from repro.utils.errors import ModelError
+
+_sparsetools = sparse_kernels()
 
 
 class PropagationCache:

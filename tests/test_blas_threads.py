@@ -4,7 +4,9 @@ Each case runs in a fresh interpreter, because the budget acts once, at
 import, on the OpenBLAS libraries mapped by then.  The scripts find
 OpenBLAS on their own (``/proc/self/maps`` and ``ctypes``), so they can
 size it before ``repro`` is imported and read it back with a probe that
-does not share the package's code.
+does not share the package's code.  When ``repro`` itself loads numpy,
+OpenBLAS starts with one thread, so the process never runs a second
+OS thread.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ pytestmark = pytest.mark.skipif(
     not blas_threads(), reason="no OpenBLAS is mapped into this process"
 )
 
-#: Prelude of every script: numpy (and with it OpenBLAS) loaded, and
 #: ``openblas(verb, *args)`` calling ``{verb}_num_threads`` on every
 #: mapped OpenBLAS, returning ``{path: result}``.
-_PROBE = r'''
+_OPENBLAS = r'''
 import ctypes, json, os, sys
-import numpy
 
 def openblas(verb, *args):
     results = {}
@@ -53,6 +53,17 @@ def openblas(verb, *args):
                 results[path] = function(*args)
                 break
     return results
+'''
+
+#: Prelude of every script that loads numpy (and with it OpenBLAS)
+#: before ``repro``.
+_PROBE = _OPENBLAS + "import numpy\n"
+
+_IMPORT_FIRST = _OPENBLAS + r'''
+import repro
+print(json.dumps({"tasks": len(os.listdir("/proc/self/task")),
+                  "openblas": openblas("get"),
+                  "env": "OPENBLAS_NUM_THREADS" in os.environ}))
 '''
 
 _WORKER = _PROBE + r'''
@@ -136,6 +147,14 @@ def test_import_sets_one_thread_in_parent_and_workers():
     assert set(result["parent"].values()) == {1}
     assert result["worker"] == result["parent"]
     assert result["package"] == result["parent"]
+
+
+def test_import_first_starts_no_blas_thread():
+    result = _result(_start(_IMPORT_FIRST))
+    assert result["openblas"], "no OpenBLAS found by the probe"
+    assert set(result["openblas"].values()) == {1}
+    assert result["tasks"] == 1
+    assert not result["env"]
 
 
 def test_user_thread_setting_is_left_alone():

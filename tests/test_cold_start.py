@@ -9,14 +9,20 @@ the artifact store) pays little else.  So:
 * ``import repro`` loads only the package ``__init__``s, the lazy
   re-export helper and the BLAS thread budget, and no scipy;
 * ``--help`` loads no ``scipy.sparse``;
+* a cold ``analyze`` loads one scipy module, the compiled kernels
+  ``scipy.sparse._sparsetools`` that training and the explainer run
+  (``repro.graph.adjacency.sparse_kernels`` loads that extension
+  alone), and so neither the ``numpy.f2py`` nor the ``numpy.testing``
+  that the ``scipy.sparse`` package pulls in;
 * a warm ``analyze`` loads none of the engines whose results it reads
   back (campaign runner, bit-parallel simulator, training engine,
   explainer, baselines), nor the ECO code (``repro.fi.eco``,
   ``repro.netlist.diff``), nor designs and tools it does not use;
 * neither a warm ``analyze`` nor an ``analyze --eco`` against a filled
-  store loads any scipy module or ``numpy.f2py``: scipy serves the
-  training engine and the explainer only, and the report's GCN
-  forward passes run on the numpy propagation matrix.
+  store loads any scipy module, ``numpy.f2py`` or ``numpy.ma``: the
+  report's GCN forward passes run on the numpy propagation matrix, and
+  their dedupes sort and compare instead of calling ``np.unique``,
+  which imports ``numpy.ma``.
 
 The checks are structural rather than timings, so host noise cannot
 flake them, and each runs in a fresh interpreter, because the test
@@ -56,8 +62,14 @@ WARM_FORBIDDEN = (
     "repro.fi.eco", "repro.netlist.diff",
 )
 
+#: The one scipy module a cold ``analyze`` may load.
+COLD_SCIPY = ["scipy.sparse._sparsetools"]
+
+#: What importing the ``scipy.sparse`` package would bring along.
+SCIPY_SPARSE_BAGGAGE = ("numpy.f2py", "numpy.testing")
+
 #: Modules neither a warm nor an ECO ``analyze`` may load.
-INFERENCE_FORBIDDEN = ("scipy", "numpy.f2py")
+INFERENCE_FORBIDDEN = ("scipy", "numpy.f2py", "numpy.ma")
 
 #: Runs ``main(argv)`` quietly; prints the exit status, every loaded
 #: module and which of them are packages.
@@ -104,9 +116,19 @@ def _loaded(record: dict, prefixes) -> list:
     ]
 
 
-def test_analyze_loads_neither_scipy_stats_nor_networkx():
-    record = _run_cli(ANALYZE + ["--no-store"])
-    assert _loaded(record, FORBIDDEN) == []
+@pytest.fixture(scope="module")
+def cold_record():
+    """What a cold ``analyze`` without a store loads."""
+    return _run_cli(ANALYZE + ["--no-store"])
+
+
+def test_analyze_loads_neither_scipy_stats_nor_networkx(cold_record):
+    assert _loaded(cold_record, FORBIDDEN) == []
+
+
+def test_cold_analyze_loads_the_sparse_kernels_alone(cold_record):
+    assert _loaded(cold_record, ["scipy"]) == COLD_SCIPY
+    assert _loaded(cold_record, SCIPY_SPARSE_BAGGAGE) == []
 
 
 def test_import_repro_loads_no_submodule_engine_or_scipy():
