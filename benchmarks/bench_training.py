@@ -3,11 +3,14 @@
 The compiled workspace (preallocated activation/gradient buffers,
 direct ``sparsetools`` kernels, packed single-buffer optimizer state,
 monitor-forward prefix reuse) trains the Table-1 classifier bitwise
-identically to the generic module path; fast-math mode adds
-operand-order selection and first-layer propagation caching on top.
-This benchmark commits the headline claim in machine-readable form:
+identically to the module-by-module training it replaced; fast-math
+mode adds operand-order selection and first-layer propagation caching
+on top.  The module leg runs that replaced code: the frozen pre-engine
+copy in ``tests/_reference_nn`` (the module path as of ``c9ae71a``),
+multiplying with scipy's CSR matrix as it did then.  This benchmark
+commits the headline claim in machine-readable form:
 ``results/BENCH_training.json`` records interleaved best-of-N wall
-clocks for all three paths on or1200_if, asserts the engine's exact
+clocks for all three legs on or1200_if, asserts the engine's exact
 mode reproduced the module path's history and weights bit for bit, and
 asserts the fast-math acceptance bar — >= 2x over the module path on a
 single core.  The pre-rewrite wall clocks measured at the commit that
@@ -79,48 +82,51 @@ def _case():
 
 
 def run_benchmark(epochs=EPOCHS, repeats=REPEATS, smoke=False):
-    """Measure the three training paths, assemble the payload."""
+    """Measure the three training legs, assemble the payload."""
     from repro.models.gcn import build_gcn_stack
     from repro.nn import TrainingConfig, train_classifier
     from repro.nn.engine import PropagationCache
     from repro.nn.gridsearch import grid_search
+    from tests._reference_nn.ref_training import (
+        TrainingConfig as RefConfig,
+        train_classifier as ref_train_classifier,
+    )
+    from tests.test_training_bitwise import ref_stack
 
     netlist, x, a_norm, y, train_mask, val_mask = _case()
     in_features = x.shape[1]
     cache = PropagationCache()
 
-    configs = {
-        "module": TrainingConfig(epochs=epochs, patience=0,
-                                 engine="module"),
-        "engine_exact": TrainingConfig(epochs=epochs, patience=0),
-        "engine_fast": TrainingConfig(epochs=epochs, patience=0,
-                                      fast_math=True),
+    # name -> (stack constructor, training function, config, extra kwargs).
+    # ``ref_stack`` builds the frozen modules on ``a_norm.tocsr()``.
+    legs = {
+        "module": (ref_stack, ref_train_classifier,
+                   RefConfig(epochs=epochs, patience=0), {}),
+        "engine_exact": (build_gcn_stack, train_classifier,
+                         TrainingConfig(epochs=epochs, patience=0), {}),
+        "engine_fast": (build_gcn_stack, train_classifier,
+                        TrainingConfig(epochs=epochs, patience=0,
+                                       fast_math=True),
+                        {"cache": cache}),
     }
 
-    # The module path multiplies with whatever matrix its layers hold.
-    # Give it scipy's, as before the numpy propagation matrix, so the
-    # ratios below still measure the engine against scipy's products.
-    module_a_norm = a_norm.tocsr()
-
     def run_once(name):
-        model = build_gcn_stack(
-            in_features, 2, module_a_norm if name == "module" else a_norm)
+        build, train, config, extra = legs[name]
+        model = build(in_features, 2, a_norm)
         started = time.perf_counter()
-        history = train_classifier(
-            model, x, y, train_mask, val_mask, configs[name],
-            cache=cache if name == "engine_fast" else None,
-        )
+        history = train(model, x, y, train_mask, val_mask, config,
+                        **extra)
         return time.perf_counter() - started, history, model
 
     # Warmup primes numpy/scipy code paths and the propagation cache
     # (cached across every later fast-math run, as in grid search).
-    runs = {name: run_once(name) for name in configs}
+    runs = {name: run_once(name) for name in legs}
 
-    # Interleaved best-of-N: each round measures all three paths back
+    # Interleaved best-of-N: each round measures all three legs back
     # to back so host-level drift lands evenly on every side.
     best = {name: elapsed for name, (elapsed, _, _) in runs.items()}
     for _ in range(repeats - 1):
-        for name in configs:
+        for name in legs:
             elapsed, _, _ = run_once(name)
             if elapsed < best[name]:
                 best[name] = elapsed
@@ -232,5 +238,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
+    # The package from src/, and the repo root for the frozen
+    # reference stack in ``tests._reference_nn``.
+    root = Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(root / "src"), str(root)]
     sys.exit(main())

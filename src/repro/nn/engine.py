@@ -2,22 +2,23 @@
 
 :func:`repro.nn.functional_plan` (PR 5) turned a trained GCN stack into
 a reusable functional description for the explainer; this module
-extends the same idea to *training*.  :func:`compile_workspace` walks a
-:class:`~repro.nn.modules.Sequential` once, preallocates every
+extends the same idea to *training*, and every training run in
+:mod:`repro.nn.training` goes through it.  :func:`compile_workspace`
+walks a :class:`~repro.nn.modules.Sequential` once, preallocates every
 activation, mask, and gradient buffer the stack will ever need, and
 binds each layer to direct scipy sparse kernels
 (``csr_matvecs``/``csc_matvecs``, run on the propagation matrix's own
 CSR arrays) writing into that reused memory — so a full training run
 performs no per-epoch allocation and no ``__matmul__`` dispatch.  The
 kernels add each output row's terms in the order
-:class:`~repro.graph.adjacency.CSRMatrix` products do, so the engine
-needs scipy and the module path does not; they come from
-:func:`~repro.graph.adjacency.sparse_kernels`, which loads their one
-extension without importing the ``scipy.sparse`` package.  The compiled
-forward/backward replicates the module implementations operation for
-operation: with the default *exact* semantics the per-epoch losses,
-metrics, and final weights are bitwise identical to
-:meth:`Sequential.forward`/``backward``
+:class:`~repro.graph.adjacency.CSRMatrix` products do, so training
+needs scipy's kernels and inference (the modules' own ``forward``)
+does not; they come from :func:`~repro.graph.adjacency.sparse_kernels`,
+which loads their one extension without importing the
+``scipy.sparse`` package.  The compiled forward/backward replicates
+the module implementations operation for operation: with the default
+*exact* semantics the per-epoch losses, metrics, and final weights are
+bitwise identical to :meth:`Sequential.forward`/``backward``
 (``tests/test_training_bitwise.py`` locks this against frozen
 pre-rewrite copies of the module code).
 
@@ -91,17 +92,7 @@ class PropagationCache:
         return entry[0]
 
 
-class _PackedModel:
-    """Duck-typed model exposing one packed parameter to an optimizer."""
-
-    def __init__(self, packed: "Parameter"):
-        self._parameters = [packed]
-
-    def parameters(self) -> List["Parameter"]:
-        return self._parameters
-
-
-def pack_parameters(model: Module) -> _PackedModel:
+def pack_parameters(model: Module) -> Parameter:
     """Rebind the model's parameters to views of one flat value/grad pair.
 
     Every optimizer update is elementwise with hyperparameters shared
@@ -125,7 +116,7 @@ def pack_parameters(model: Module) -> _PackedModel:
         offset += size
     packed = Parameter(flat_value)
     packed.grad = flat_grad
-    return _PackedModel(packed)
+    return packed
 
 
 def _spmm_args(matrix, n_cols: int, x: Optional[np.ndarray],
@@ -476,7 +467,7 @@ class _DropoutLayer(_Layer):
 
     ``Generator.random(out=...)`` consumes exactly the bits
     ``Generator.random(shape)`` would, so the engine's mask sequence is
-    identical to the module path's.
+    identical to the one :meth:`Dropout.forward` draws.
     """
 
     def __init__(self, module: Dropout, src: np.ndarray):
@@ -581,10 +572,7 @@ class TrainingWorkspace:
     makes the shortcut bitwise-safe rather than approximate.
     """
 
-    def __init__(self, model: Sequential, x: np.ndarray,
-                 layers: List[_Layer]):
-        self.model = model
-        self.x = x
+    def __init__(self, layers: List[_Layer]):
         self.layers = layers
         self.output = layers[-1].out
         self._resume_at = next(
@@ -614,13 +602,6 @@ class TrainingWorkspace:
                 break
 
 
-def _dense_matrix(x) -> Optional[np.ndarray]:
-    if (isinstance(x, np.ndarray) and x.ndim == 2
-            and x.dtype == np.float64 and x.flags.c_contiguous):
-        return x
-    return None
-
-
 def _usable_adjacency(a, n_nodes: int) -> bool:
     """A float64 CSR matrix (ours or scipy's) of the graph's size."""
     return (getattr(a, "format", None) == "csr"
@@ -628,61 +609,84 @@ def _usable_adjacency(a, n_nodes: int) -> bool:
             and a.dtype == np.float64)
 
 
+def _check_layer(position: int, module: Module, src: np.ndarray) -> None:
+    """Raise :class:`ModelError` unless ``module`` compiles on ``src``."""
+    name = f"layer {position} ({type(module).__name__})"
+    if type(module) not in _COMPILERS:
+        raise ModelError(f"{name} has no compiled training form")
+    sage = isinstance(module, SAGEConv)
+    if sage or isinstance(module, (GCNConv, Linear)):
+        weight = module.weight_self if sage else module.weight
+        if weight.shape[0] != src.shape[1]:
+            raise ModelError(
+                f"{name} takes {weight.shape[0]} input features, "
+                f"its input has {src.shape[1]}"
+            )
+    if sage or isinstance(module, GCNConv):
+        adjacency = module.a_mean if sage else module.a_norm
+        if not _usable_adjacency(adjacency, src.shape[0]):
+            raise ModelError(
+                f"{name} needs a float64 CSR adjacency of shape "
+                f"({src.shape[0]}, {src.shape[0]})"
+            )
+
+
 def compile_workspace(
     model: Module,
     x: np.ndarray,
     fast_math: bool = False,
     cache: Optional[PropagationCache] = None,
-) -> Optional[TrainingWorkspace]:
+) -> TrainingWorkspace:
     """Compile ``model`` into a :class:`TrainingWorkspace`.
 
-    Returns ``None`` when the model is not a compilable stack (not a
-    :class:`Sequential`, contains a layer type without a compiler, or
-    the input/adjacency types don't match the kernel contracts) — the
-    caller then falls back to the generic module implementation, which
-    handles everything.
+    ``model`` must be a non-empty :class:`Sequential` of layers this
+    module compiles, each as wide as its input, with every graph
+    convolution on a float64 CSR adjacency of the graph's size;
+    anything else raises :class:`ModelError` naming the layer.  ``x``
+    is read as a C-ordered float64 matrix; when that takes a copy,
+    ``cache`` is not used (the copy would key a new entry per call).
     """
     if not isinstance(model, Sequential) or not model.modules:
-        return None
-    if _dense_matrix(x) is None:
-        return None
+        raise ModelError(
+            f"cannot train {type(model).__name__}: the training engine "
+            "compiles a non-empty Sequential"
+        )
+    given, x = x, np.ascontiguousarray(x, dtype=np.float64)
+    if x is not given:
+        cache = None
+    if x.ndim != 2:
+        raise ModelError(f"features must be a matrix, got shape {x.shape}")
     layers: List[_Layer] = []
     src = x
     for position, module in enumerate(model.modules):
-        compiler = _COMPILERS.get(type(module))
-        if compiler is None:
-            return None
-        if isinstance(module, SAGEConv):
-            if (module.weight_self.shape[0] != src.shape[1]
-                    or not _usable_adjacency(module.a_mean, src.shape[0])):
-                return None
-        if isinstance(module, (GCNConv, Linear)):
-            if module.weight.shape[0] != src.shape[1]:
-                return None
-            if isinstance(module, GCNConv):
-                if not _usable_adjacency(module.a_norm, src.shape[0]):
-                    return None
-                f_in, f_out = module.weight.shape
-                if fast_math and src is x and cache is not None:
-                    propagated = _dense_matrix(
-                        cache.get(module.a_norm, x)
-                    )
-                    if propagated is not None:
-                        layer = _GCNLayerCached(module, src, propagated)
-                        layers.append(layer)
-                        src = layer.out
-                        continue
-                if fast_math and f_in < f_out:
-                    compiler = _GCNLayerAX
-        if fast_math and compiler is _ReLULayer:
-            compiler = _ReLULayerFast
-        layer = compiler(module, src)
-        if isinstance(layer, _DropoutLayer) and src is not x:
-            layer.make_inplace()
+        _check_layer(position, module, src)
+        if (fast_math and isinstance(module, GCNConv) and src is x
+                and cache is not None):
+            layer = _GCNLayerCached(module, src,
+                                    cache.get(module.a_norm, x))
+        else:
+            compiler = _COMPILERS[type(module)]
+            if (fast_math and compiler is _GCNLayer
+                    and src.shape[1] < module.weight.shape[1]):
+                compiler = _GCNLayerAX
+            elif fast_math and compiler is _ReLULayer:
+                compiler = _ReLULayerFast
+            layer = compiler(module, src)
+            if isinstance(layer, _DropoutLayer) and src is not x:
+                layer.make_inplace()
         layers.append(layer)
         src = layer.out
     layers[0].need_input_grad = False
-    return TrainingWorkspace(model, x, layers)
+    return TrainingWorkspace(layers)
+
+
+def _check_mask(n: int, mask: np.ndarray) -> np.ndarray:
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n,):
+        raise ModelError(f"mask shape {mask.shape} != ({n},)")
+    if not mask.any():
+        raise ModelError("loss mask selects no nodes")
+    return mask
 
 
 class ClassifierObjective:
@@ -694,27 +698,43 @@ class ClassifierObjective:
     here; per epoch the train loss, the monitor loss, and the monitor
     accuracy each cost one ``take`` + one reduction over buffers.  The
     arithmetic matches :func:`repro.nn.losses.nll_loss` operation for
-    operation (bitwise).
+    operation (bitwise).  Every target must be a class of the output,
+    in ``[0, n_classes)``: the flat gather would otherwise read (and
+    the gradient scatter write) a neighbouring node's entry.
+    ``balance`` weighs the training NLL by inverse class frequency
+    over the training fold.
     """
 
     def __init__(self, output: np.ndarray, targets: np.ndarray,
                  train_mask: np.ndarray, monitor_mask: np.ndarray,
-                 class_weights: Optional[np.ndarray],
-                 fast: bool = False):
+                 balance: bool, fast: bool = False):
         n, n_classes = output.shape
         self._output = output
         self._output_flat = output.reshape(-1)
         targets = np.asarray(targets, dtype=np.int64)
         if targets.shape != (n,):
             raise ModelError("targets misaligned with predictions")
+        outside = np.flatnonzero((targets < 0) | (targets >= n_classes))
+        if len(outside):
+            node = outside[0]
+            raise ModelError(
+                f"target {targets[node]} at node {node} is outside "
+                f"[0, {n_classes}) ({len(outside)} node(s) in all)"
+            )
+        train_mask = _check_mask(n, train_mask)
+        monitor_mask = _check_mask(n, monitor_mask)
         self._flat = np.arange(n, dtype=np.int64) * n_classes + targets
 
-        self._train_weights, self._train_norm = self._weigh(
-            n, n_classes, targets, train_mask, class_weights
-        )
-        self._monitor_weights, self._monitor_norm = self._weigh(
-            n, n_classes, targets, monitor_mask, None
-        )
+        weights = np.ones(n)
+        if balance:
+            counts = np.bincount(targets[train_mask],
+                                 minlength=n_classes).astype(float)
+            counts[counts == 0.0] = 1.0
+            weights = (counts.sum() / (n_classes * counts))[targets]
+        self._train_weights = weights * train_mask
+        self._train_norm = self._train_weights.sum()
+        self._monitor_weights = np.ones(n) * monitor_mask
+        self._monitor_norm = self._monitor_weights.sum()
         self._scatter = -self._train_weights / self._train_norm
 
         self.grad = np.zeros_like(output)
@@ -722,9 +742,7 @@ class ClassifierObjective:
         self._picked = np.empty(n)
         self._weighted = np.empty(n)
 
-        monitor_index = np.flatnonzero(
-            np.asarray(monitor_mask, dtype=bool)
-        )
+        monitor_index = np.flatnonzero(monitor_mask)
         self._monitor_index = monitor_index
         self._monitor_targets = targets[monitor_index]
         self._argmax = np.empty(n, dtype=np.intp)
@@ -738,22 +756,6 @@ class ClassifierObjective:
         if self._fast_two_class:
             self._greater = np.empty(n, dtype=bool)
             self._greater_sel = np.empty(len(monitor_index), dtype=bool)
-
-    @staticmethod
-    def _weigh(n, n_classes, targets, mask, class_weights):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n,):
-            raise ModelError(f"mask shape {mask.shape} != ({n},)")
-        if not mask.any():
-            raise ModelError("loss mask selects no nodes")
-        weights = np.ones(n)
-        if class_weights is not None:
-            class_weights = np.asarray(class_weights, dtype=np.float64)
-            if class_weights.shape != (n_classes,):
-                raise ModelError("class_weights shape mismatch")
-            weights = class_weights[targets]
-        weights = weights * mask
-        return weights, weights.sum()
 
     def _masked_nll(self, weights: np.ndarray, norm: float) -> float:
         self._output_flat.take(self._flat, out=self._picked)
@@ -790,37 +792,44 @@ class ClassifierObjective:
         # quotient would leak into histories as ``np.float64``.
         return float(np.count_nonzero(self._hits) / self._hits.size)
 
+    def monitor(self) -> Tuple[float, float]:
+        """``(early-stopping metric, accuracy)`` of the eval output.
+
+        The metric is accuracy with an NLL tie-breaker, so among
+        equally-accurate epochs the best-calibrated one wins (this
+        keeps probability rankings — and hence ROC/AUC — faithful, not
+        just the argmax).
+        """
+        accuracy = self.monitor_accuracy()
+        return accuracy - 0.1 * self.monitor_loss(), accuracy
+
 
 class RegressorObjective:
-    """Masked MSE over a workspace's shared output buffer; same
-    precomputation contract as :class:`ClassifierObjective`, matching
-    :func:`repro.nn.losses.mse_loss` bitwise."""
+    """Masked MSE over a workspace's shared one-column output buffer;
+    same precomputation contract as :class:`ClassifierObjective`,
+    matching :func:`repro.nn.losses.mse_loss` bitwise."""
 
     def __init__(self, output: np.ndarray, targets: np.ndarray,
                  train_mask: np.ndarray, monitor_mask: np.ndarray):
-        n = output.shape[0]
+        n, width = output.shape
+        if width != 1:
+            raise ModelError(
+                f"a regressor needs one output column, the model has "
+                f"{width}"
+            )
         self._output_flat = output.reshape(n)
         targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != (n,):
             raise ModelError("targets misaligned with predictions")
         self._targets = targets
-        self._train_mask = self._check_mask(n, train_mask)
-        self._monitor_mask = self._check_mask(n, monitor_mask)
+        self._train_mask = _check_mask(n, train_mask)
+        self._monitor_mask = _check_mask(n, monitor_mask)
         self._train_count = int(self._train_mask.sum())
         self._monitor_count = int(self._monitor_mask.sum())
         self.grad = np.zeros_like(output)
         self._grad_flat = self.grad.reshape(n)
         self._residual = np.empty(n)
         self._squared = np.empty(n)
-
-    @staticmethod
-    def _check_mask(n, mask):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n,):
-            raise ModelError(f"mask shape {mask.shape} != ({n},)")
-        if not mask.any():
-            raise ModelError("loss mask selects no nodes")
-        return mask
 
     def _masked_mse(self, mask: np.ndarray, count: int) -> float:
         np.subtract(self._output_flat, self._targets,
@@ -839,3 +848,8 @@ class RegressorObjective:
     def monitor_loss(self) -> float:
         return self._masked_mse(self._monitor_mask,
                                 self._monitor_count)
+
+    def monitor(self) -> Tuple[float, float]:
+        """``(early-stopping metric, NaN)``: the negative monitor MSE,
+        so higher is better as for the classifier."""
+        return -self.monitor_loss(), float("nan")

@@ -4,29 +4,34 @@ Full-batch training (the whole graph per step, masked loss), Adam by
 default, early stopping on the validation metric with best-weights
 restore — the standard recipe for small-graph GCN training.
 
-Compilable :class:`~repro.nn.modules.Sequential` stacks run on the
-zero-allocation :mod:`repro.nn.engine` workspace (preallocated
-buffers, direct sparse kernels, monitor-forward prefix reuse); the
-results are bitwise identical to the generic module path, which
-remains the fallback for everything the workspace can't compile
-(e.g. ``SAGEConv`` stacks) and can be forced with
-``TrainingConfig(engine="module")``.
+Both loops run on the zero-allocation :mod:`repro.nn.engine` workspace
+(preallocated buffers, direct sparse kernels, monitor-forward prefix
+reuse), which compiles every :class:`~repro.nn.modules.Sequential`
+stack the models build and raises :class:`ModelError` for anything
+else.  With the default exact semantics the histories and weights are
+bitwise those of the module classes' own ``forward``/``backward``
+(``tests/test_training_bitwise.py`` locks this against frozen copies
+of the pre-engine training code).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Union
 
 import numpy as np
 
-from repro.nn.losses import mse_loss, nll_loss
-from repro.nn.modules import Module
+from repro.nn.modules import Module, Parameter
 from repro.nn.optim import Adam, Optimizer, SGD
 from repro.utils.errors import ModelError
 
 if TYPE_CHECKING:
-    from repro.nn.engine import PropagationCache
+    from repro.nn.engine import (
+        ClassifierObjective,
+        PropagationCache,
+        RegressorObjective,
+        TrainingWorkspace,
+    )
 
 
 @dataclass
@@ -39,22 +44,17 @@ class TrainingConfig:
     optimizer: str = "adam"
     patience: int = 60          # early-stopping patience (0 disables)
     class_weights: bool = True  # balance NLL by inverse class frequency
-    verbose: bool = False
-    #: "auto" compiles supported stacks onto the zero-allocation
-    #: engine workspace; "module" forces the generic module path.
-    #: Both produce bitwise-identical histories and weights.
-    engine: str = "auto"
     #: Opt in to operand-order selection and first-layer propagation
     #: caching in GCN layers.  Algebraically exact but *not* bitwise
     #: identical to the default (float addition is not associative).
     fast_math: bool = False
 
-    def build_optimizer(self, model: Module) -> Optimizer:
+    def build_optimizer(self, parameters: List[Parameter]) -> Optimizer:
         if self.optimizer == "adam":
-            return Adam(model.parameters(), lr=self.lr,
+            return Adam(parameters, lr=self.lr,
                         weight_decay=self.weight_decay)
         if self.optimizer == "sgd":
-            return SGD(model.parameters(), lr=self.lr, momentum=0.9,
+            return SGD(parameters, lr=self.lr, momentum=0.9,
                        weight_decay=self.weight_decay)
         raise ModelError(f"unknown optimizer {self.optimizer!r}")
 
@@ -82,15 +82,17 @@ class _BestWeights:
     need preserving if a *later* step is about to overwrite them while
     they are still the restore candidate.  So an improvement merely
     flags the live weights as best, and the actual copy happens at the
-    start of the next optimizer step — into reused buffers, so a long
+    start of the next optimizer step — into a reused buffer, so a long
     improvement streak costs ``copyto`` traffic but zero allocation.
     If training ends while the flag is set, the live weights already
     ARE the best and the restore is a no-op.
+
+    ``weights`` is the packed value buffer every parameter views.
     """
 
-    def __init__(self, model: Module):
-        self._model = model
-        self._snapshot: Optional[List[np.ndarray]] = None
+    def __init__(self, weights: np.ndarray):
+        self._weights = weights
+        self._snapshot: Optional[np.ndarray] = None
         self._pending = False
 
     def mark_improved(self) -> None:
@@ -101,54 +103,49 @@ class _BestWeights:
         """Capture the pending best before the optimizer mutates it."""
         if self._pending:
             if self._snapshot is None:
-                self._snapshot = [
-                    parameter.value.copy()
-                    for parameter in self._model.parameters()
-                ]
+                self._snapshot = self._weights.copy()
             else:
-                for buffer, parameter in zip(
-                    self._snapshot, self._model.parameters()
-                ):
-                    np.copyto(buffer, parameter.value)
+                np.copyto(self._snapshot, self._weights)
             self._pending = False
 
     def restore(self) -> None:
         """Put the best-epoch weights back into the model."""
         if self._pending or self._snapshot is None:
             return  # live weights are already the best (or no epochs ran)
-        for parameter, value in zip(
-            self._model.parameters(), self._snapshot
-        ):
-            parameter.value[:] = value
+        self._weights[:] = self._snapshot
 
 
-def _run_epochs(
+def _fit(
     model: Module,
-    optimizer: Optimizer,
+    workspace: TrainingWorkspace,
+    objective: Union[ClassifierObjective, RegressorObjective],
     config: TrainingConfig,
-    history: TrainingHistory,
-    train_step: Callable[[], float],
-    monitor_step: Callable[[], tuple],
-    verbose_line: Callable[[int, float, float], str],
 ) -> TrainingHistory:
-    """The shared epoch skeleton: step, monitor, early-stop, restore.
+    """The epoch loop: step, monitor, early-stop, restore.
 
-    ``train_step`` runs one forward/backward and returns the training
-    loss; ``monitor_step`` returns ``(metric, accuracy_or_nan)``.  The
-    engine and module paths differ only in those two callables.
+    The optimizer steps all parameters as one packed flat pair
+    (elementwise updates: bitwise identical to a per-parameter loop,
+    one fused pass instead).
     """
-    best = _BestWeights(model)
+    from repro.nn.engine import pack_parameters
+
+    packed = pack_parameters(model)
+    optimizer = config.build_optimizer([packed])
+    history = TrainingHistory()
+    best = _BestWeights(packed.value)
     stale = 0
     for epoch in range(config.epochs):
-        loss = train_step()
+        optimizer.zero_grad()
+        workspace.forward_train()
+        loss = objective.train_loss()
+        workspace.backward(objective.grad)
         best.before_step()
         optimizer.step()
 
-        metric, accuracy = monitor_step()
+        workspace.forward_eval()
+        metric, accuracy = objective.monitor()
         history.train_loss.append(loss)
         history.val_metric.append(metric)
-        if config.verbose and epoch % 20 == 0:
-            print(verbose_line(epoch, loss, metric))
 
         if metric > history.best_val_metric:
             history.best_val_metric = metric
@@ -166,18 +163,6 @@ def _run_epochs(
     return history
 
 
-def _compile(model: Module, x: np.ndarray, config: TrainingConfig,
-             cache: Optional[PropagationCache]):
-    if config.engine == "module":
-        return None
-    if config.engine != "auto":
-        raise ModelError(f"unknown engine {config.engine!r}")
-    from repro.nn.engine import compile_workspace
-
-    return compile_workspace(model, x, fast_math=config.fast_math,
-                             cache=cache)
-
-
 def train_classifier(
     model: Module,
     x: np.ndarray,
@@ -190,78 +175,23 @@ def train_classifier(
     """Train a log-softmax classifier on masked nodes.
 
     The validation metric is accuracy on ``val_mask`` (training-fold
-    accuracy when no validation mask is given).  On completion the
-    model holds the best-validation weights.  ``cache`` is an optional
-    shared :class:`~repro.nn.engine.PropagationCache` (used by the
-    engine's fast-math first layer).
+    accuracy when no validation mask is given) with an NLL
+    tie-breaker.  On completion the model holds the best-validation
+    weights.  ``cache`` is an optional shared
+    :class:`~repro.nn.engine.PropagationCache` (used by the engine's
+    fast-math first layer).
     """
-    from repro.nn.engine import ClassifierObjective, pack_parameters
+    from repro.nn.engine import ClassifierObjective, compile_workspace
 
     config = config or TrainingConfig()
-    history = TrainingHistory()
-    monitor_mask = val_mask if val_mask is not None else train_mask
-
-    class_weights = None
-    if config.class_weights:
-        counts = np.bincount(targets[train_mask], minlength=2).astype(float)
-        counts[counts == 0.0] = 1.0
-        class_weights = counts.sum() / (len(counts) * counts)
-
-    workspace = _compile(model, x, config, cache)
-    # On the engine path the optimizer steps all parameters as one
-    # packed flat pair (elementwise updates: bitwise identical, one
-    # fused pass instead of a per-parameter loop).
-    optimizer = config.build_optimizer(
-        pack_parameters(model) if workspace is not None else model
+    workspace = compile_workspace(model, x, fast_math=config.fast_math,
+                                  cache=cache)
+    objective = ClassifierObjective(
+        workspace.output, targets, train_mask,
+        val_mask if val_mask is not None else train_mask,
+        balance=config.class_weights, fast=config.fast_math,
     )
-    if workspace is not None:
-        objective = ClassifierObjective(
-            workspace.output, targets, train_mask, monitor_mask,
-            class_weights, fast=config.fast_math,
-        )
-
-        def train_step() -> float:
-            optimizer.zero_grad()
-            workspace.forward_train()
-            loss = objective.train_loss()
-            workspace.backward(objective.grad)
-            return loss
-
-        def monitor_step():
-            workspace.forward_eval()
-            accuracy = objective.monitor_accuracy()
-            # Early-stopping metric: accuracy with an NLL tie-breaker,
-            # so among equally-accurate epochs the best-calibrated one
-            # wins (this keeps probability rankings — and hence
-            # ROC/AUC — faithful, not just the argmax).
-            return accuracy - 0.1 * objective.monitor_loss(), accuracy
-
-    else:
-        def train_step() -> float:
-            model.train()
-            optimizer.zero_grad()
-            log_probs = model.forward(x)
-            loss, grad = nll_loss(log_probs, targets, mask=train_mask,
-                                  class_weights=class_weights)
-            model.backward(grad)
-            return loss
-
-        def monitor_step():
-            model.eval()
-            monitored = model.forward(x)
-            predictions = monitored.argmax(axis=1)
-            accuracy = float(
-                (predictions[monitor_mask] == targets[monitor_mask]).mean()
-            )
-            monitor_loss, _ = nll_loss(monitored, targets,
-                                       mask=monitor_mask)
-            return accuracy - 0.1 * monitor_loss, accuracy
-
-    return _run_epochs(
-        model, optimizer, config, history, train_step, monitor_step,
-        lambda epoch, loss, metric:
-            f"epoch {epoch:4d}  loss {loss:.4f}  val {metric:.4f}",
-    )
+    return _fit(model, workspace, objective, config)
 
 
 def train_regressor(
@@ -278,50 +208,13 @@ def train_regressor(
     The validation metric is negative MSE (higher is better, so early
     stopping shares the classifier's logic).
     """
-    from repro.nn.engine import RegressorObjective, pack_parameters
+    from repro.nn.engine import RegressorObjective, compile_workspace
 
     config = config or TrainingConfig()
-    history = TrainingHistory()
-    monitor_mask = val_mask if val_mask is not None else train_mask
-
-    workspace = _compile(model, x, config, cache)
-    optimizer = config.build_optimizer(
-        pack_parameters(model) if workspace is not None else model
+    workspace = compile_workspace(model, x, fast_math=config.fast_math,
+                                  cache=cache)
+    objective = RegressorObjective(
+        workspace.output, targets, train_mask,
+        val_mask if val_mask is not None else train_mask,
     )
-    if workspace is not None:
-        objective = RegressorObjective(
-            workspace.output, targets, train_mask, monitor_mask
-        )
-
-        def train_step() -> float:
-            optimizer.zero_grad()
-            workspace.forward_train()
-            loss = objective.train_loss()
-            workspace.backward(objective.grad)
-            return loss
-
-        def monitor_step():
-            workspace.forward_eval()
-            return -objective.monitor_loss(), float("nan")
-
-    else:
-        def train_step() -> float:
-            model.train()
-            optimizer.zero_grad()
-            predictions = model.forward(x)
-            loss, grad = mse_loss(predictions, targets, mask=train_mask)
-            model.backward(grad)
-            return loss
-
-        def monitor_step():
-            model.eval()
-            predictions = model.forward(x).reshape(-1)
-            val_loss, _ = mse_loss(predictions, targets,
-                                   mask=monitor_mask)
-            return -val_loss, float("nan")
-
-    return _run_epochs(
-        model, optimizer, config, history, train_step, monitor_step,
-        lambda epoch, loss, metric:
-            f"epoch {epoch:4d}  loss {loss:.5f}  val-mse {-metric:.5f}",
-    )
+    return _fit(model, workspace, objective, config)

@@ -325,7 +325,7 @@ def test_train_regressor_learns():
 def test_training_config_unknown_optimizer():
     model = Sequential(Linear(2, 2))
     with pytest.raises(ModelError):
-        TrainingConfig(optimizer="lion").build_optimizer(model)
+        TrainingConfig(optimizer="lion").build_optimizer(model.parameters())
 
 
 def test_grid_search_ranks_by_accuracy():

@@ -69,18 +69,24 @@ def case(request):
 
 
 def ref_stack(in_features, out_features, a_norm, hidden_dims=(16, 32, 64),
-              dropout=0.3, log_softmax=True, seed=0):
-    """``build_gcn_stack`` mirrored onto the frozen reference modules."""
+              dropout=0.3, log_softmax=True, seed=0, conv="gcn"):
+    """``build_gcn_stack`` mirrored onto the frozen reference modules.
+
+    They multiply with scipy's CSR matrix, as when they were frozen:
+    the numpy ``CSRMatrix`` products are bitwise scipy's but slower.
+    """
+    a_norm = a_norm.tocsr()
+    layer = rm.SAGEConv if conv == "sage" else rm.GCNConv
     rng = derive_rng(seed, "gcn-init")
     modules = []
     previous = in_features
     for position, width in enumerate(hidden_dims):
-        modules.append(rm.GCNConv(previous, width, a_norm, seed=rng))
+        modules.append(layer(previous, width, a_norm, seed=rng))
         modules.append(rm.ReLU())
         if dropout > 0.0 and position + 1 == DROPOUT_AFTER_LAYER:
             modules.append(rm.Dropout(dropout, seed=rng))
         previous = width
-    modules.append(rm.GCNConv(previous, out_features, a_norm, seed=rng))
+    modules.append(layer(previous, out_features, a_norm, seed=rng))
     if log_softmax:
         modules.append(rm.LogSoftmax())
     return rm.Sequential(*modules)
@@ -133,20 +139,6 @@ def test_regressor_bitwise(case):
                               TrainingConfig(epochs=150))
     ref_history = ref_train_regressor(reference, x, y_reg, train_mask,
                                       val_mask, RefConfig(epochs=150))
-    assert_identical_runs(history, ref_history, model, reference)
-
-
-def test_module_engine_forced_path_bitwise(case):
-    """engine="module" (the fallback path) must equal the reference
-    too — it is the same algorithm, run through the live modules."""
-    x, a_norm, y, _, train_mask, val_mask = case
-    model = build_gcn_stack(x.shape[1], 2, a_norm)
-    reference = ref_stack(x.shape[1], 2, a_norm)
-    history = train_classifier(
-        model, x, y, train_mask, val_mask,
-        TrainingConfig(epochs=80, engine="module"))
-    ref_history = ref_train_classifier(
-        reference, x, y, train_mask, val_mask, RefConfig(epochs=80))
     assert_identical_runs(history, ref_history, model, reference)
 
 

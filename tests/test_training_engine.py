@@ -4,9 +4,11 @@ Hypothesis-driven invariants that the bitwise suite's fixed scenarios
 cannot cover: early stopping restores exactly the best-epoch weights
 under randomized data/patience (including the patience=0,
 improvement-on-final-epoch, and zero-epoch edges), serial and pooled
-grid search rank identically, the compiled workspace tracks the module
-path bit for bit on random stacks, ``eval()`` releases cached autograd
-intermediates, and fast-math mode stays algebraically faithful.
+grid search rank identically, the compiled workspace tracks the frozen
+pre-engine training code (``tests/_reference_nn``) bit for bit on
+random stacks, ``eval()`` releases cached autograd intermediates, the
+workspace rejects what it cannot compile with a typed error, and
+fast-math mode stays algebraically faithful.
 """
 
 import numpy as np
@@ -14,10 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.nn as nn
 from repro.graph.adjacency import normalized_adjacency
 from repro.models.gcn import build_gcn_stack
 from repro.nn import (
-    Dropout,
     GCNConv,
     Linear,
     LogSoftmax,
@@ -29,6 +31,15 @@ from repro.nn import (
 )
 from repro.nn.engine import PropagationCache, compile_workspace
 from repro.nn.gridsearch import grid_search
+from repro.utils.errors import ModelError
+
+from tests._reference_nn import ref_modules as rm
+from tests._reference_nn.ref_training import (
+    TrainingConfig as RefConfig,
+    train_classifier as ref_train_classifier,
+    train_regressor as ref_train_regressor,
+)
+from tests.test_training_bitwise import ref_stack
 
 SLOW = settings(
     max_examples=10, deadline=None,
@@ -45,12 +56,15 @@ def make_data(n, seed):
     return x, y, train_mask, ~train_mask
 
 
-def make_model(seed, dropout=0.0):
-    modules = [Linear(4, 6, seed=seed), ReLU()]
+def make_model(seed, dropout=0.0, layers=nn):
+    """A small MLP classifier built from ``layers``: the live modules
+    by default, ``rm`` for the frozen reference."""
+    modules = [layers.Linear(4, 6, seed=seed), layers.ReLU()]
     if dropout > 0.0:
-        modules.append(Dropout(dropout, seed=seed + 1))
-    modules.extend([Linear(6, 2, seed=seed + 2), LogSoftmax()])
-    return Sequential(*modules)
+        modules.append(layers.Dropout(dropout, seed=seed + 1))
+    modules.extend([layers.Linear(6, 2, seed=seed + 2),
+                    layers.LogSoftmax()])
+    return layers.Sequential(*modules)
 
 
 # ----------------------------------------------------------------------
@@ -121,49 +135,47 @@ def test_zero_epochs_leaves_initial_weights():
 
 
 # ----------------------------------------------------------------------
-# engine == module path on random stacks
+# engine == frozen reference on random stacks
 # ----------------------------------------------------------------------
 @SLOW
 @given(st.integers(0, 1000), st.sampled_from(["adam", "sgd"]),
        st.booleans())
-def test_engine_matches_module_path(seed, optimizer, use_dropout):
+def test_engine_matches_reference(seed, optimizer, use_dropout):
     x, y, train_mask, val_mask = make_data(35, seed)
     dropout = 0.3 if use_dropout else 0.0
     engine_model = make_model(seed, dropout)
-    module_model = make_model(seed, dropout)
+    ref_model = make_model(seed, dropout, layers=rm)
     config = dict(epochs=40, lr=0.05, optimizer=optimizer, patience=10)
     engine_history = train_classifier(
         engine_model, x, y, train_mask, val_mask,
         TrainingConfig(**config))
-    module_history = train_classifier(
-        module_model, x, y, train_mask, val_mask,
-        TrainingConfig(engine="module", **config))
-    assert engine_history.train_loss == module_history.train_loss
-    assert engine_history.val_metric == module_history.val_metric
-    assert engine_history.best_epoch == module_history.best_epoch
-    for a, b in zip(engine_model.parameters(),
-                    module_model.parameters()):
+    ref_history = ref_train_classifier(
+        ref_model, x, y, train_mask, val_mask, RefConfig(**config))
+    assert engine_history.train_loss == ref_history.train_loss
+    assert engine_history.val_metric == ref_history.val_metric
+    assert engine_history.best_epoch == ref_history.best_epoch
+    for a, b in zip(engine_model.parameters(), ref_model.parameters()):
         assert np.array_equal(a.value, b.value)
 
 
 @SLOW
 @given(st.integers(0, 1000))
-def test_engine_matches_module_path_regressor(seed):
+def test_engine_matches_reference_regressor(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(30, 3))
     y = 0.5 * x[:, 0] - 0.2 * x[:, 2]
     mask = np.ones(30, dtype=bool)
 
-    def build():
-        return Sequential(Linear(3, 5, seed=seed), ReLU(),
-                          Linear(5, 1, seed=seed + 1))
+    def build(layers):
+        return layers.Sequential(layers.Linear(3, 5, seed=seed),
+                                 layers.ReLU(),
+                                 layers.Linear(5, 1, seed=seed + 1))
 
-    a, b = build(), build()
+    a, b = build(nn), build(rm)
     ha = train_regressor(a, x, y, mask, None,
                          TrainingConfig(epochs=30, lr=0.02, patience=0))
-    hb = train_regressor(b, x, y, mask, None,
-                         TrainingConfig(epochs=30, lr=0.02, patience=0,
-                                        engine="module"))
+    hb = ref_train_regressor(b, x, y, mask, None,
+                             RefConfig(epochs=30, lr=0.02, patience=0))
     assert ha.train_loss == hb.train_loss
     for pa, pb in zip(a.parameters(), b.parameters()):
         assert np.array_equal(pa.value, pb.value)
@@ -231,39 +243,134 @@ def test_grid_best_accuracy_is_recorded_not_recomputed():
 # ----------------------------------------------------------------------
 # eval() releases cached autograd state
 # ----------------------------------------------------------------------
+def _train_step(model, x):
+    """One train-mode forward/backward through the modules themselves."""
+    model.train()
+    model.zero_grad()
+    model.forward(x)
+    model.backward(np.ones((len(x), 2)) / (2 * len(x)))
+
+
+def _cached_arrays(model):
+    """Per-node (2-D) arrays the modules hold, as ``Layer.attribute``."""
+    return [
+        f"{type(module).__name__}.{attribute}"
+        for module in model.modules
+        for attribute, value in vars(module).items()
+        if isinstance(value, np.ndarray) and value.ndim == 2
+    ]
+
+
 def test_eval_clears_cached_autograd_state():
-    x, y, train_mask, val_mask = make_data(30, 2)
+    x, _, _, _ = make_data(30, 2)
     model = make_model(2, dropout=0.3)
-    # The module path caches forward intermediates on each layer.
-    train_classifier(model, x, y, train_mask, val_mask,
-                     TrainingConfig(epochs=5, engine="module"))
-    # Training ends with model.eval(): every per-node cached array
-    # must be gone.
-    for module in model.modules:
-        for attribute, value in vars(module).items():
-            if attribute in ("training",):
-                continue
-            if isinstance(value, np.ndarray) and value.ndim == 2:
-                pytest.fail(
-                    f"{type(module).__name__}.{attribute} still holds "
-                    f"a cached {value.shape} array after eval()"
-                )
+    # A train-mode forward caches intermediates on each layer.
+    _train_step(model, x)
+    assert _cached_arrays(model)
+    # eval(), as training ends: every per-node cached array must go.
+    model.eval()
+    assert _cached_arrays(model) == []
 
 
 def test_forward_after_eval_still_works():
-    x, y, train_mask, val_mask = make_data(30, 4)
+    x, _, _, _ = make_data(30, 4)
     model = make_model(4, dropout=0.3)
-    train_classifier(model, x, y, train_mask, val_mask,
-                     TrainingConfig(epochs=5, engine="module"))
+    _train_step(model, x)
+    model.eval()
     before = model.forward(x)
     model.eval()
     after = model.forward(x)
     assert np.array_equal(before, after)
     # And backward still functions after a fresh forward.
-    model.train()
-    model.forward(x)
-    model.zero_grad()
-    model.backward(np.ones((30, 2)) / 60.0)
+    _train_step(model, x)
+
+
+# ----------------------------------------------------------------------
+# one training path: what it cannot train fails with a typed error
+# ----------------------------------------------------------------------
+class Scale(nn.Module):
+    """A layer the engine has no compiled form for."""
+
+    def forward(self, x):
+        return 2.0 * x
+
+    def backward(self, grad):
+        return 2.0 * grad
+
+
+def test_uncompilable_layer_fails_training():
+    x, y, train_mask, val_mask = make_data(20, 0)
+    model = Sequential(Linear(4, 2, seed=0), Scale(), LogSoftmax())
+    with pytest.raises(ModelError, match=r"layer 1 \(Scale\)"):
+        train_classifier(model, x, y, train_mask, val_mask,
+                         TrainingConfig(epochs=3))
+
+
+def _small_graph(n=4):
+    edges = np.array([np.arange(n - 1), np.arange(1, n)])
+    return normalized_adjacency(edges, n)
+
+
+@pytest.mark.parametrize("model, x, message", [
+    (Linear(3, 2), np.zeros((4, 3)), r"cannot train Linear"),
+    (Sequential(), np.zeros((4, 3)), r"cannot train Sequential"),
+    (Sequential(Linear(3, 2)), np.zeros(4), r"features must be a matrix"),
+    (Sequential(Linear(3, 5), Linear(4, 2)), np.zeros((4, 3)),
+     r"layer 1 \(Linear\) takes 4 input features, its input has 5"),
+    (Sequential(GCNConv(3, 2, _small_graph().toarray())), np.zeros((4, 3)),
+     r"layer 0 \(GCNConv\) needs a float64 CSR adjacency"),
+    (Sequential(Linear(3, 3), GCNConv(3, 2, _small_graph(5))),
+     np.zeros((4, 3)), r"layer 1 \(GCNConv\) needs .* of shape \(4, 4\)"),
+], ids=["not-sequential", "empty", "vector-x", "width", "dense-adjacency",
+        "adjacency-size"])
+def test_workspace_names_what_it_cannot_compile(model, x, message):
+    with pytest.raises(ModelError, match=message):
+        compile_workspace(model, x)
+
+
+@pytest.mark.parametrize("layout", ["float32", "fortran"])
+def test_features_train_as_their_c_ordered_float64_copy(layout):
+    x, a_norm, y, train_mask, val_mask = _gcn_case(n=60, seed=6)
+    given = (x.astype(np.float32) if layout == "float32"
+             else np.asfortranarray(x))
+    copy = np.ascontiguousarray(given, dtype=np.float64)
+    runs = []
+    for features in (given, copy):
+        model = build_gcn_stack(features.shape[1], 2, a_norm, seed=2)
+        history = train_classifier(model, features, y, train_mask,
+                                   val_mask, TrainingConfig(epochs=30))
+        runs.append((history, model))
+    (history, model), (copy_history, copy_model) = runs
+    assert history.train_loss == copy_history.train_loss
+    assert history.val_metric == copy_history.val_metric
+    for ours, theirs in zip(model.parameters(), copy_model.parameters()):
+        assert ours.value.tobytes() == theirs.value.tobytes()
+
+
+@pytest.mark.parametrize("class_weights", [True, False])
+@pytest.mark.parametrize("fold", ["train", "val"])
+@pytest.mark.parametrize("label", [2, -1])
+def test_classifier_rejects_labels_outside_its_classes(label, fold,
+                                                       class_weights):
+    """A label outside ``[0, n_classes)`` would make the loss read, and
+    its gradient write, a neighbouring node's log-probability."""
+    x, y, train_mask, val_mask = make_data(10, 0)
+    node = np.flatnonzero(train_mask if fold == "train" else val_mask)[0]
+    y[node] = label
+    model = Sequential(Linear(4, 2, seed=0), LogSoftmax())
+    with pytest.raises(ModelError,
+                       match=rf"target {label} at node {node} is outside"):
+        train_classifier(model, x, y, train_mask, val_mask,
+                         TrainingConfig(epochs=3,
+                                        class_weights=class_weights))
+
+
+def test_regressor_rejects_a_wide_head():
+    x, _, train_mask, val_mask = make_data(10, 0)
+    model = Sequential(Linear(4, 2, seed=0))
+    with pytest.raises(ModelError, match="one output column"):
+        train_regressor(model, x, x[:, 0], train_mask, val_mask,
+                        TrainingConfig(epochs=3))
 
 
 # ----------------------------------------------------------------------
@@ -304,13 +411,15 @@ def test_fast_math_tracks_exact_losses():
 def test_propagation_cache_shared_across_runs():
     x, a_norm, y, train_mask, val_mask = _gcn_case(seed=3)
     cache = PropagationCache()
-    for seed in (0, 1):
+    # The float32 run trains on a fresh float64 copy, which would key a
+    # new entry every time: it leaves the cache alone.
+    for seed, features in ((0, x), (1, x), (2, x.astype(np.float32))):
         model = build_gcn_stack(x.shape[1], 2, a_norm, seed=seed)
         train_classifier(
-            model, x, y, train_mask, val_mask,
+            model, features, y, train_mask, val_mask,
             TrainingConfig(epochs=10, patience=0, fast_math=True),
             cache=cache)
-    # Same (A*, X) pair on both runs: one entry, computed once.
+    # Same (A*, X) pair on the first two runs: one entry, computed once.
     assert len(cache) == 1
     product = cache.get(a_norm, x)
     assert product is cache.get(a_norm, x)
@@ -323,7 +432,7 @@ def test_workspace_rejects_unknown_modules():
 
     x = np.zeros((4, 3))
     model = Sequential(Linear(3, 2))
-    assert compile_workspace(model, x) is not None
+    assert compile_workspace(model, x).output.shape == (4, 2)
 
     from repro.nn.modules import SAGEConv
 
@@ -331,14 +440,15 @@ def test_workspace_rejects_unknown_modules():
     a_norm = normalized_adjacency(edges, 4, mode="row",
                                   self_loops=False)
     sage = Sequential(SAGEConv(3, 2, a_norm))
-    assert compile_workspace(sage, x) is not None
-    assert compile_workspace(Sequential(Strange(Linear(3, 2))), x) is None
+    assert compile_workspace(sage, x).output.shape == (4, 2)
+    with pytest.raises(ModelError, match=r"layer 0 \(Strange\)"):
+        compile_workspace(Sequential(Strange(Linear(3, 2))), x)
 
 
 @pytest.mark.parametrize("head", ["classifier", "regressor"])
-def test_compiled_sage_matches_module_path(head):
+def test_compiled_sage_matches_reference(head):
     """``SAGEConv`` stacks train on the engine: weights, history and
-    eval-mode outputs equal the module path's bit for bit."""
+    eval-mode outputs equal the frozen reference's bit for bit."""
     from repro.circuits import build_or1200_icfsm
     from repro.features.extract import extract_features
     from repro.graph.build import netlist_edges
@@ -354,24 +464,24 @@ def test_compiled_sage_matches_module_path(head):
     classify = head == "classifier"
     targets = ((rng.random(n) < 0.3).astype(np.int64) if classify
                else rng.random(n))
-    train = train_classifier if classify else train_regressor
-    runs = []
-    for engine in ("auto", "module"):
-        model = build_gcn_stack(x.shape[1], 2 if classify else 1, a_mean,
-                                log_softmax=classify, seed=4, conv="sage")
-        history = train(model, x, targets, train_mask, ~train_mask,
-                        TrainingConfig(epochs=120, engine=engine))
-        model.eval()
-        runs.append((model, history, model.forward(x)))
-    (compiled, history, output), (module, module_history,
-                                  module_output) = runs
-    assert compile_workspace(compiled, x) is not None
-    assert history.train_loss == module_history.train_loss
-    assert history.val_metric == module_history.val_metric
-    assert history.best_epoch == module_history.best_epoch
-    for ours, theirs in zip(compiled.parameters(), module.parameters()):
+    out_features = 2 if classify else 1
+    train, ref_train = ((train_classifier, ref_train_classifier)
+                        if classify
+                        else (train_regressor, ref_train_regressor))
+    model = build_gcn_stack(x.shape[1], out_features, a_mean,
+                            log_softmax=classify, seed=4, conv="sage")
+    reference = ref_stack(x.shape[1], out_features, a_mean,
+                          log_softmax=classify, seed=4, conv="sage")
+    history = train(model, x, targets, train_mask, ~train_mask,
+                    TrainingConfig(epochs=120))
+    ref_history = ref_train(reference, x, targets, train_mask,
+                            ~train_mask, RefConfig(epochs=120))
+    assert history.train_loss == ref_history.train_loss
+    assert history.val_metric == ref_history.val_metric
+    assert history.best_epoch == ref_history.best_epoch
+    for ours, theirs in zip(model.parameters(), reference.parameters()):
         assert ours.value.tobytes() == theirs.value.tobytes()
-    assert output.tobytes() == module_output.tobytes()
+    assert model.forward(x).tobytes() == reference.forward(x).tobytes()
 
 
 def test_gcn_conv_operand_order_flag():
