@@ -22,10 +22,11 @@ so this is a throughput-critical path):
   that signature.  Every sparse matrix is a numpy-built
   :class:`~repro.graph.adjacency.CSRMatrix` (slices, transpose slices
   and block diagonals come from :mod:`repro.graph.adjacency`, byte for
-  byte what the scipy constructions left), and every product is scipy's
-  ``csr_matvecs`` kernel from
-  :func:`~repro.graph.adjacency.sparse_kernels`, so explaining imports
-  no ``scipy.sparse`` package.
+  byte what the scipy constructions left), and every product is
+  :meth:`~repro.graph.adjacency.CSRMatrix.matmul_into` into a
+  preallocated buffer, the one sparse product in the repository.
+  The propagation matrix is structurally symmetric, so every masked
+  edge has a stored entry in both directions.
 * Target nodes are grouped by subgraph size and stacked into
   **block-diagonal batches**: one sparse-matmul forward/backward pass
   per epoch drives K nodes' masks at once.  Blocks cannot interact —
@@ -65,7 +66,6 @@ from repro.graph.adjacency import (
     adjacency_matrix,
     block_diagonal,
     csr_from_coo,
-    sparse_kernels,
     submatrix,
 )
 from repro.graph.data import GraphData
@@ -78,8 +78,6 @@ from repro.utils.errors import ModelError
 from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.workerpool import map_supervised
 
-_sparsetools = sparse_kernels()
-
 #: Nodes per block-diagonal batch.  Large enough to amortize the
 #: per-epoch numpy dispatch over many masks, small enough that one
 #: batch's activations stay a few MiB even at 500-node subgraphs.
@@ -88,22 +86,6 @@ DEFAULT_BATCH_SIZE = 16
 
 def _sigmoid(values: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(values, -60.0, 60.0)))
-
-
-def _spmm_into(matrix: CSRMatrix, dense: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """``out = matrix @ dense`` into a preallocated buffer.
-
-    Calls the same ``csr_matvecs`` kernel scipy's ``@`` resolves to,
-    skipping the per-call dispatch/validation/allocation that
-    dominates when the optimizer issues thousands of small products.
-    """
-    out[:] = 0.0
-    _sparsetools.csr_matvecs(matrix.shape[0], matrix.shape[1],
-                             dense.shape[1], matrix.indptr,
-                             matrix.indices, matrix.data, dense.ravel(),
-                             out.ravel())
-    return out
 
 
 def undirected_csr(
@@ -161,7 +143,7 @@ class _SubgraphSignature:
     __slots__ = (
         "nodes", "size", "adjacency", "base_data", "coo_rows",
         "coo_cols", "edge_rows", "edge_cols", "nnz_rc", "nnz_cr",
-        "cr_valid", "used_mask", "x_sub",
+        "used_mask", "x_sub",
     )
 
     def __init__(self, a_norm: CSRMatrix, x: np.ndarray,
@@ -177,6 +159,18 @@ class _SubgraphSignature:
         self.coo_cols = sub.indices.astype(np.int64)
         position = np.full((self.size, self.size), -1, dtype=np.int64)
         position[self.coo_rows, self.coo_cols] = np.arange(sub.nnz)
+        # One mask value scales an edge in both directions, so every
+        # stored entry needs its reverse (a symmetric structure, which
+        # every adjacency mode builds).
+        reverse = position[self.coo_cols, self.coo_rows]
+        one_way = np.flatnonzero(reverse < 0)
+        if len(one_way):
+            entry = one_way[0]
+            raise ModelError(
+                f"propagation entry ({nodes[self.coo_rows[entry]]}, "
+                f"{nodes[self.coo_cols[entry]]}) has no stored reverse "
+                "entry; the explainer masks each edge in both directions"
+            )
 
         # Undirected mask parameters: one logit per upper-triangle
         # entry, in row-major order (the dense np.triu scan order).
@@ -184,15 +178,12 @@ class _SubgraphSignature:
         self.edge_rows = self.coo_rows[upper]
         self.edge_cols = self.coo_cols[upper]
         self.nnz_rc = position[self.edge_rows, self.edge_cols]
-        self.nnz_cr = position[self.edge_cols, self.edge_rows]
-        # A structurally one-way pair (possible under row
-        # normalization) has no stored reverse entry to mask.
-        self.cr_valid = self.nnz_cr >= 0
+        self.nnz_cr = reverse[upper]
         # nnz positions the edge-mask gradient actually reads (the
-        # diagonal and any unpaired entries never feed a logit).
+        # diagonal never feeds a logit).
         used = np.zeros(sub.nnz, dtype=bool)
         used[self.nnz_rc] = True
-        used[self.nnz_cr[self.cr_valid]] = True
+        used[self.nnz_cr] = True
         self.used_mask = used
         self.x_sub = x[nodes]
 
@@ -289,14 +280,10 @@ class _ExplainScratch:
             signature.nnz_rc + offset
             for signature, offset in zip(signatures, data_offsets)
         ])
-        nnz_cr = concat([
-            np.where(signature.cr_valid,
-                     signature.nnz_cr + offset, -1)
+        self.nnz_cr = concat([
+            signature.nnz_cr + offset
             for signature, offset in zip(signatures, data_offsets)
         ])
-        self.cr_valid = nnz_cr >= 0
-        self.all_cr_valid = bool(self.cr_valid.all())
-        self.nnz_cr = np.where(self.cr_valid, nnz_cr, 0)
         self.edge_counts = [len(signature.nnz_rc)
                             for signature in signatures]
 
@@ -413,13 +400,7 @@ def _optimize_masks(
         # Masked adjacency: rewrite only the stored edge entries (the
         # diagonal keeps its base value — the node always sees itself).
         scratch.data[nnz_rc] = base_data[nnz_rc] * edge_mask
-        if scratch.all_cr_valid:
-            scratch.data[nnz_cr] = base_data[nnz_cr] * edge_mask
-        else:
-            valid = scratch.cr_valid
-            scratch.data[nnz_cr[valid]] = (
-                base_data[nnz_cr[valid]] * edge_mask[valid]
-            )
+        scratch.data[nnz_cr] = base_data[nnz_cr] * edge_mask
         np.multiply(scratch.x_stack, feature_mask[:, None, :],
                     out=scratch.masked_x)
 
@@ -435,7 +416,7 @@ def _optimize_masks(
                 np.matmul(h, weight, out=xw)
                 width = weight.shape[1]
                 out2 = scratch.fwd_out[ordinal]
-                _spmm_into(adjacency, xw.reshape(flat, width), out2)
+                adjacency.matmul_into(xw.reshape(flat, width), out2)
                 out = out2.reshape(batch, size, width)
                 if bias is not None:
                     out += bias
@@ -487,7 +468,7 @@ def _optimize_masks(
                 np.take(scratch.data, scratch.t_perms[ordinal],
                         out=t_block.data)
                 spmm_out = scratch.bwd_spmm[ordinal]
-                _spmm_into(t_block, g2, spmm_out)
+                t_block.matmul_into(g2, spmm_out)
                 grad = scratch.bwd_grad[ordinal]
                 np.matmul(spmm_out.reshape(batch, size, width),
                           weight.T, out=grad)
@@ -500,20 +481,10 @@ def _optimize_masks(
                 grad = grad - softmax * grad.sum(axis=2, keepdims=True)
 
         # Chain rule into the mask logits.
-        if scratch.all_cr_valid:
-            upstream_edges = (
-                scratch.upstream[nnz_rc] * base_data[nnz_rc]
-                + scratch.upstream[nnz_cr] * base_data[nnz_cr]
-            )
-        else:
-            upstream_edges = (
-                scratch.upstream[nnz_rc] * base_data[nnz_rc]
-            )
-            valid = scratch.cr_valid
-            upstream_edges[valid] += (
-                scratch.upstream[nnz_cr[valid]]
-                * base_data[nnz_cr[valid]]
-            )
+        upstream_edges = (
+            scratch.upstream[nnz_rc] * base_data[nnz_rc]
+            + scratch.upstream[nnz_cr] * base_data[nnz_cr]
+        )
         grad_edge = upstream_edges * edge_mask * (1.0 - edge_mask)
         grad_feature = (
             (grad * scratch.x_stack).sum(axis=1)

@@ -5,17 +5,18 @@ The paper's GCN layer propagates through the normalized adjacency
 self-loops); row normalization ``D^-1 (A + I)`` is provided for the
 ablation benchmark.
 
-The matrices are :class:`CSRMatrix` objects built in numpy, so
-inference needs no scipy.  Their arrays are byte for byte what the
-scipy construction (``coo + coo.T``, ``diags @ A [@ diags]``) left,
-and their products are bitwise equal to scipy's.  This module owns the
-CSR layout: the explainer's subgraph slices, transpose slices and
-block diagonals are built here too (:func:`submatrix`,
-:func:`csr_from_coo`, :func:`block_diagonal`), byte for byte what
-scipy's indexing, coo conversion and ``block_diag`` left.  The training
-engine and the explainer run scipy's compiled kernels on these arrays,
-loaded by :func:`sparse_kernels` without the ``scipy.sparse`` package;
-only ``tocsr()`` builds a scipy matrix.
+The matrices are :class:`CSRMatrix` objects built in numpy.  Their
+arrays are byte for byte what the scipy construction (``coo + coo.T``,
+``diags @ A [@ diags]``) left.  This module owns the CSR layout: the
+explainer's subgraph slices, transpose slices and block diagonals are
+built here too (:func:`submatrix`, :func:`csr_from_coo`,
+:func:`block_diagonal`), byte for byte what scipy's indexing, coo
+conversion and ``block_diag`` left.  It is also the one module that
+calls scipy's compiled kernels: every product, in inference, training
+and the explainer, is :meth:`CSRMatrix.matmul_into`, which runs them
+on the matrix's own arrays, so every product is bitwise scipy's.
+:func:`sparse_kernels` loads the kernels without the ``scipy.sparse``
+package; only ``tocsr()`` builds a scipy matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import importlib.util
 import os
 import sys
 from types import ModuleType
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -86,17 +87,15 @@ def _index_dtype(*sizes: int) -> type:
 
 
 class CSRMatrix:
-    """A compressed-sparse-row matrix with scipy's product semantics.
+    """A compressed-sparse-row matrix whose products are scipy's.
 
-    ``A @ x`` adds each output row's terms ``data[k] * x[indices[k]]``
-    to ``0.0`` in stored order, which is how scipy's ``csr_matvec(s)``
-    accumulate, so the products are bitwise equal; ``A.T`` is the
-    transpose laid out in the order ``csc_matvecs`` visits it (source
-    rows ascending).  1-D and 2-D operands are accepted.  The arrays
-    are shared, not copied: treat them as read-only.
+    Every product is :meth:`matmul_into`, scipy's compiled kernel on
+    the matrix's own arrays; ``A @ x`` and ``A.T @ x`` call it.
+    ``A.T`` is the transpose laid out in the order ``csc_matvecs``
+    visits ``A`` (source rows ascending), so its products equal
+    scipy's ``A.T @`` too.  The arrays are shared, not copied: treat
+    them as read-only.
     """
-
-    format = "csr"
 
     def __init__(self, data: np.ndarray, indices: np.ndarray,
                  indptr: np.ndarray, shape: Tuple[int, int]):
@@ -105,7 +104,6 @@ class CSRMatrix:
         self.indptr = indptr
         self.shape = (int(shape[0]), int(shape[1]))
         self._transpose = None
-        self._plan = None
 
     @property
     def dtype(self) -> np.dtype:
@@ -136,59 +134,51 @@ class CSRMatrix:
             self._transpose = transpose
         return self._transpose
 
-    def _product_plan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      List[tuple]]:
-        """``(rank, columns, values, blocks)``, built once.
+    def matmul_into(self, x: np.ndarray, out: np.ndarray,
+                    transpose: bool = False) -> np.ndarray:
+        """``out = A @ x``, or ``A.T @ x`` with ``transpose``; returns
+        ``out``.
 
-        The rows are ordered longest first; ``rank`` maps each row to
-        its place in that order.  ``columns`` and ``values`` hold every
-        row's first term, then every row's second, and so on, the rows
-        in that order within each position, so position ``k`` adds one
-        contiguous run of terms to the first ``counts[k]`` ordered
-        rows.  ``blocks`` groups consecutive positions as ``(start,
-        stop, counts)`` with at most as many terms as the output has
-        nonempty rows: one block's terms are gathered at a time, so a
-        product never holds more than an output's worth of them.
+        Runs scipy's ``csr_matvecs`` on A's arrays, or ``csc_matvecs``
+        on the same arrays read as the CSC form of ``A.T``: each output
+        row's terms are added to ``0.0`` in stored order, so the result
+        is bitwise scipy's ``@``.  ``x`` and ``out`` are float64
+        matrices of the product's shapes, and ``out`` is C-contiguous,
+        because the kernel reads and writes raw buffers (a strided
+        ``x`` is read through a copy).  ``out`` must not overlap ``x``.
         """
-        if self._plan is None:
-            order = np.argsort(-np.diff(self.indptr), kind="stable")
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            rows = self._rows()
-            position = np.arange(self.nnz) - self.indptr[rows]
-            entries = np.lexsort((rank[rows], position))
-            counts = np.bincount(position).tolist()
-            blocks, start, size, block = [], 0, 0, []
-            for count in counts:
-                if block and size + count > counts[0]:
-                    blocks.append((start, start + size, block))
-                    start, size, block = start + size, 0, []
-                block.append(count)
-                size += count
-            if block:
-                blocks.append((start, start + size, block))
-            self._plan = (rank, self.indices[entries], self.data[entries],
-                          blocks)
-        return self._plan
+        n_rows, n_cols = self.shape[::-1] if transpose else self.shape
+        if (x.ndim != 2 or x.shape[0] != n_cols
+                or out.shape != (n_rows, x.shape[1])):
+            raise ValueError(
+                f"matmul: {'A.T' if transpose else 'A'} of shape "
+                f"{(n_rows, n_cols)} @ {x.shape} into {out.shape}"
+            )
+        if not x.dtype == out.dtype == self.data.dtype == np.float64:
+            raise ValueError(
+                f"matmul: operands must be float64, got {self.data.dtype} "
+                f"@ {x.dtype} into {out.dtype}"
+            )
+        if not out.flags.c_contiguous:
+            raise ValueError("matmul: out must be C-contiguous")
+        out.fill(0.0)
+        kernels = sparse_kernels()
+        kernel = kernels.csc_matvecs if transpose else kernels.csr_matvecs
+        kernel(n_rows, n_cols, x.shape[1], self.indptr, self.indices,
+               self.data, x.ravel(), out.ravel())
+        return out
 
     def __matmul__(self, other) -> np.ndarray:
+        """A new ``A @ other`` for a 1-D or 2-D real operand, which is
+        read as float64 (scipy upcasts these operands the same way)."""
         x = np.asarray(other)
-        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
-            raise ValueError(
-                f"matmul: dimension mismatch {self.shape} @ {x.shape}"
-            )
-        rank, columns, values, blocks = self._product_plan()
-        dtype = np.result_type(self.data, x)
-        ordered = np.zeros((self.shape[0],) + x.shape[1:], dtype=dtype)
-        for start, stop, counts in blocks:
-            terms = x[columns[start:stop]].astype(dtype, copy=False)
-            terms *= (values[start:stop] if x.ndim == 1
-                      else values[start:stop, None])
-            offset = 0
-            for count in counts:
-                ordered[:count] += terms[offset:offset + count]
-                offset += count
-        return ordered[rank]
+        if x.ndim not in (1, 2) or not np.can_cast(x.dtype, np.float64):
+            raise ValueError(f"matmul: cannot multiply by a {x.ndim}-D "
+                             f"{x.dtype} operand")
+        columns = x.reshape(-1, 1) if x.ndim == 1 else x
+        out = np.empty((self.shape[0], columns.shape[1]))
+        self.matmul_into(columns.astype(np.float64, copy=False), out)
+        return out.reshape((self.shape[0],) + x.shape[1:])
 
     def toarray(self) -> np.ndarray:
         """The dense matrix."""

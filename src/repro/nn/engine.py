@@ -6,19 +6,15 @@ extends the same idea to *training*, and every training run in
 :mod:`repro.nn.training` goes through it.  :func:`compile_workspace`
 walks a :class:`~repro.nn.modules.Sequential` once, preallocates every
 activation, mask, and gradient buffer the stack will ever need, and
-binds each layer to direct scipy sparse kernels
-(``csr_matvecs``/``csc_matvecs``, run on the propagation matrix's own
-CSR arrays) writing into that reused memory — so a full training run
-performs no per-epoch allocation and no ``__matmul__`` dispatch.  The
-kernels add each output row's terms in the order
-:class:`~repro.graph.adjacency.CSRMatrix` products do, so training
-needs scipy's kernels and inference (the modules' own ``forward``)
-does not; they come from :func:`~repro.graph.adjacency.sparse_kernels`,
-which loads their one extension without importing the
-``scipy.sparse`` package.  The compiled forward/backward replicates
-the module implementations operation for operation: with the default
-*exact* semantics the per-epoch losses, metrics, and final weights are
-bitwise identical to :meth:`Sequential.forward`/``backward``
+runs each layer's sparse products with
+:meth:`~repro.graph.adjacency.CSRMatrix.matmul_into` into that reused
+memory (the backward reads the propagation matrix's own arrays as its
+transpose) — so a full training run performs no per-epoch allocation.
+The modules' own ``forward`` runs the same product, scipy's compiled
+kernel.  The compiled forward/backward replicates the module
+implementations operation for operation: with the default *exact*
+semantics the per-epoch losses, metrics, and final weights are bitwise
+identical to :meth:`Sequential.forward`/``backward``
 (``tests/test_training_bitwise.py`` locks this against frozen
 pre-rewrite copies of the module code).
 
@@ -45,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.adjacency import sparse_kernels
+from repro.graph.adjacency import CSRMatrix
 from repro.nn.modules import (
     Dropout,
     GCNConv,
@@ -60,8 +56,6 @@ from repro.nn.modules import (
     Tanh,
 )
 from repro.utils.errors import ModelError
-
-_sparsetools = sparse_kernels()
 
 
 class PropagationCache:
@@ -119,29 +113,8 @@ def pack_parameters(model: Module) -> Parameter:
     return packed
 
 
-def _spmm_args(matrix, n_cols: int, x: Optional[np.ndarray],
-               out: np.ndarray, transpose: bool = False) -> tuple:
-    """Frozen argument tuple for a ``sparsetools`` matvecs kernel.
-
-    With ``csr_matvecs`` the kernel accumulates ``matrix @ x`` into
-    ``out``; with ``transpose`` the shape is swapped for
-    ``csc_matvecs``, which reads the same CSR arrays as the CSC form of
-    ``matrix.T`` and accumulates ``matrix.T @ x`` (callers zero ``out``
-    first).  Both are bitwise identical to the matrix's ``@``, minus
-    the per-call dispatch, shape introspection, and result allocation.
-    ``x`` may be ``None`` when the input operand is only known at call
-    time (the caller appends ``x.ravel()`` then).
-    """
-    n_rows, n_columns = matrix.shape
-    if transpose:
-        n_rows, n_columns = n_columns, n_rows
-    head = (n_rows, n_columns, n_cols,
-            matrix.indptr, matrix.indices, matrix.data)
-    return head + (x.ravel(), out.ravel()) if x is not None else head
-
-
 class _Layer:
-    """One compiled layer: preallocated buffers + in-place kernels.
+    """One compiled layer: preallocated buffers + in-place products.
 
     ``src`` is the layer's input array (the previous layer's ``out``
     buffer, or the root feature matrix), fixed at compile time; ``out``
@@ -167,26 +140,18 @@ class _Layer:
 class _GCNLayer(_Layer):
     """``H' = A* (H W) + b`` with the reference operand order.
 
-    Forward: dense ``src @ W`` into a scratch, then one csr kernel into
-    ``out``.  Backward: one csc kernel (``A.T`` read from A's own
-    arrays) into the same scratch, then two dense products into
-    parameter-shaped scratch buffers accumulated onto the grads.
+    Forward: dense ``src @ W`` into a scratch, then ``A @`` into
+    ``out``.  Backward: ``A.T @`` (read from A's own arrays) into the
+    same scratch, then two dense products into parameter-shaped scratch
+    buffers accumulated onto the grads.
     """
 
     def __init__(self, module: GCNConv, src: np.ndarray):
         super().__init__(src, module.weight.shape[1])
         self.module = module
-        a = module.a_norm
-        width = self.out.shape[1]
         # Holds X W during forward, A^T G during backward (the forward
         # product is dead by then).
         self._scratch = np.empty_like(self.out)
-        self._fwd_args = _spmm_args(a, width, self._scratch, self.out)
-        # Backward's spmm input is the incoming gradient, only known at
-        # call time; the frozen head carries everything else.
-        self._bwd_head = _spmm_args(a, width, None, self._scratch,
-                                    transpose=True)
-        self._scratch_flat = self._scratch.ravel()
         self._w_scratch = np.empty_like(module.weight.value)
         if module.bias is not None:
             self._b_scratch = np.empty_like(module.bias.value)
@@ -195,17 +160,14 @@ class _GCNLayer(_Layer):
     def forward(self, training: bool) -> None:
         module = self.module
         np.matmul(self.src, module.weight.value, out=self._scratch)
-        self.out.fill(0.0)
-        _sparsetools.csr_matvecs(*self._fwd_args)
+        module.a_norm.matmul_into(self._scratch, self.out)
         if module.bias is not None:
             self.out += module.bias.value
 
     def backward(self, grad: np.ndarray) -> Optional[np.ndarray]:
         module = self.module
-        propagated = self._scratch
-        propagated.fill(0.0)
-        _sparsetools.csc_matvecs(*self._bwd_head, grad.ravel(),
-                                 self._scratch_flat)
+        propagated = module.a_norm.matmul_into(grad, self._scratch,
+                                               transpose=True)
         np.matmul(self.src.T, propagated, out=self._w_scratch)
         module.weight.grad += self._w_scratch
         if module.bias is not None:
@@ -230,13 +192,8 @@ class _GCNLayerAX(_Layer):
     def __init__(self, module: GCNConv, src: np.ndarray):
         super().__init__(src, module.weight.shape[1])
         self.module = module
-        a = module.a_norm
-        f_in = src.shape[1]
         self._ax = np.empty_like(src)
         self._grad_in = np.empty_like(src)
-        self._fwd_args = _spmm_args(a, f_in, src, self._ax)
-        self._bwd_args = _spmm_args(a, f_in, self._ax, self._grad_in,
-                                    transpose=True)
         self._w_scratch = np.empty_like(module.weight.value)
         if module.bias is not None:
             self._b_scratch = np.empty_like(module.bias.value)
@@ -244,8 +201,7 @@ class _GCNLayerAX(_Layer):
 
     def forward(self, training: bool) -> None:
         module = self.module
-        self._ax.fill(0.0)
-        _sparsetools.csr_matvecs(*self._fwd_args)
+        module.a_norm.matmul_into(self.src, self._ax)
         np.matmul(self._ax, module.weight.value, out=self.out)
         if module.bias is not None:
             self.out += module.bias.value
@@ -264,9 +220,8 @@ class _GCNLayerAX(_Layer):
             return None
         # d/dH of (A H) W = A^T (G W^T); _ax is dead, reuse it.
         np.matmul(grad, module.weight.value.T, out=self._ax)
-        self._grad_in.fill(0.0)
-        _sparsetools.csc_matvecs(*self._bwd_args)
-        return self._grad_in
+        return module.a_norm.matmul_into(self._ax, self._grad_in,
+                                         transpose=True)
 
 
 class _GCNLayerCached(_Layer):
@@ -307,34 +262,28 @@ class _GCNLayerCached(_Layer):
 class _SAGELayer(_Layer):
     """``H' = H W_self + (A H) W_neigh + b`` in the module's order.
 
-    Forward: one csr kernel for the aggregate ``A H`` (kept for the
-    neighbour weight's gradient), then two dense products summed into
-    ``out``.  Backward: the two weight gradients, then the input
-    gradient ``G W_self^T + A^T (G W_neigh^T)`` with ``A^T`` read from
-    A's own arrays by a csc kernel.
+    Forward: the aggregate ``A H`` (kept for the neighbour weight's
+    gradient), then two dense products summed into ``out``.  Backward:
+    the two weight gradients, then the input gradient
+    ``G W_self^T + A^T (G W_neigh^T)`` with ``A^T`` read from A's own
+    arrays.
     """
 
     def __init__(self, module: SAGEConv, src: np.ndarray):
         super().__init__(src, module.weight_self.shape[1])
         self.module = module
-        a = module.a_mean
-        f_in = src.shape[1]
         self._aggregated = np.empty_like(src)
         self._neighbor = np.empty_like(self.out)
-        self._fwd_args = _spmm_args(a, f_in, src, self._aggregated)
         self._w_scratch = np.empty_like(module.weight_self.value)
         if module.bias is not None:
             self._b_scratch = np.empty_like(module.bias.value)
         self._grad_in = np.empty_like(src)
         self._grad_neighbor = np.empty_like(src)
         self._grad_propagated = np.empty_like(src)
-        self._bwd_args = _spmm_args(a, f_in, self._grad_neighbor,
-                                    self._grad_propagated, transpose=True)
 
     def forward(self, training: bool) -> None:
         module = self.module
-        self._aggregated.fill(0.0)
-        _sparsetools.csr_matvecs(*self._fwd_args)
+        module.a_mean.matmul_into(self.src, self._aggregated)
         np.matmul(self.src, module.weight_self.value, out=self.out)
         np.matmul(self._aggregated, module.weight_neighbor.value,
                   out=self._neighbor)
@@ -356,8 +305,8 @@ class _SAGELayer(_Layer):
         np.matmul(grad, module.weight_self.value.T, out=self._grad_in)
         np.matmul(grad, module.weight_neighbor.value.T,
                   out=self._grad_neighbor)
-        self._grad_propagated.fill(0.0)
-        _sparsetools.csc_matvecs(*self._bwd_args)
+        module.a_mean.matmul_into(self._grad_neighbor,
+                                  self._grad_propagated, transpose=True)
         self._grad_in += self._grad_propagated
         return self._grad_in
 
@@ -603,8 +552,8 @@ class TrainingWorkspace:
 
 
 def _usable_adjacency(a, n_nodes: int) -> bool:
-    """A float64 CSR matrix (ours or scipy's) of the graph's size."""
-    return (getattr(a, "format", None) == "csr"
+    """A float64 :class:`CSRMatrix` of the graph's size."""
+    return (isinstance(a, CSRMatrix)
             and a.shape == (n_nodes, n_nodes)
             and a.dtype == np.float64)
 
@@ -641,7 +590,7 @@ def compile_workspace(
 
     ``model`` must be a non-empty :class:`Sequential` of layers this
     module compiles, each as wide as its input, with every graph
-    convolution on a float64 CSR adjacency of the graph's size;
+    convolution on a float64 :class:`CSRMatrix` of the graph's size;
     anything else raises :class:`ModelError` naming the layer.  ``x``
     is read as a C-ordered float64 matrix; when that takes a copy,
     ``cache`` is not used (the copy would key a new entry per call).

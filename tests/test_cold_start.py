@@ -10,7 +10,7 @@ the artifact store) pays little else.  So:
   re-export helper and the BLAS thread budget, and no scipy;
 * ``--help`` loads no ``scipy.sparse``;
 * a cold ``analyze`` loads one scipy module, the compiled kernels
-  ``scipy.sparse._sparsetools`` that training and the explainer run
+  ``scipy.sparse._sparsetools`` that every sparse product runs
   (``repro.graph.adjacency.sparse_kernels`` loads that extension
   alone), and so neither the ``numpy.f2py`` nor the ``numpy.testing``
   that the ``scipy.sparse`` package pulls in;
@@ -18,11 +18,11 @@ the artifact store) pays little else.  So:
   back (campaign runner, bit-parallel simulator, training engine,
   explainer, baselines), nor the ECO code (``repro.fi.eco``,
   ``repro.netlist.diff``), nor designs and tools it does not use;
-* neither a warm ``analyze`` nor an ``analyze --eco`` against a filled
-  store loads any scipy module, ``numpy.f2py`` or ``numpy.ma``: the
-  report's GCN forward passes run on the numpy propagation matrix, and
-  their dedupes sort and compare instead of calling ``np.unique``,
-  which imports ``numpy.ma``.
+* a warm ``analyze`` and an ``analyze --eco`` against a filled store
+  load the same one scipy module as a cold run, for the report's GCN
+  forward passes, and no ``numpy.f2py``, ``numpy.testing`` or
+  ``numpy.ma``: their dedupes sort and compare instead of calling
+  ``np.unique``, which imports ``numpy.ma``.
 
 The checks are structural rather than timings, so host noise cannot
 flake them, and each runs in a fresh interpreter, because the test
@@ -62,14 +62,14 @@ WARM_FORBIDDEN = (
     "repro.fi.eco", "repro.netlist.diff",
 )
 
-#: The one scipy module a cold ``analyze`` may load.
+#: The one scipy module an ``analyze``, cold, warm or ECO, may load.
 COLD_SCIPY = ["scipy.sparse._sparsetools"]
 
 #: What importing the ``scipy.sparse`` package would bring along.
 SCIPY_SPARSE_BAGGAGE = ("numpy.f2py", "numpy.testing")
 
-#: Modules neither a warm nor an ECO ``analyze`` may load.
-INFERENCE_FORBIDDEN = ("scipy", "numpy.f2py", "numpy.ma")
+#: numpy modules neither a warm nor an ECO ``analyze`` may load.
+INFERENCE_FORBIDDEN = SCIPY_SPARSE_BAGGAGE + ("numpy.ma",)
 
 #: Runs ``main(argv)`` quietly; prints the exit status, every loaded
 #: module and which of them are packages.
@@ -161,15 +161,18 @@ def test_warm_analyze_loads_no_engine(filled_store):
     assert ArtifactStore(store).stats()["misses"] == misses  # all hits
     assert _loaded(record, WARM_FORBIDDEN) == []
     assert _loaded(record, FORBIDDEN) == []
+    assert _loaded(record, ["scipy"]) == COLD_SCIPY
     assert _loaded(record, INFERENCE_FORBIDDEN) == []
 
 
-def test_eco_analyze_loads_no_scipy(filled_store, tmp_path):
+def test_eco_analyze_loads_the_sparse_kernels_alone(filled_store,
+                                                    tmp_path):
     store, argv = filled_store
     edited = tmp_path / "edited.v"
     edited.write_text(_cell_swap(to_verilog(build_design("sdram")),
                                  occurrence=3), encoding="utf-8")
     record = _run_cli(argv + ["--eco", str(edited)])
     assert "repro.fi.eco" in record["modules"]  # the edit ran
+    assert _loaded(record, ["scipy"]) == COLD_SCIPY
     assert _loaded(record, INFERENCE_FORBIDDEN) == []
     assert _loaded(record, FORBIDDEN) == []

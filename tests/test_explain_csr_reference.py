@@ -10,6 +10,9 @@ masks it learns read every array's values in stored order, so
 ``data``, ``indices`` and ``indptr`` must match byte for byte, dtypes
 included: on every built-in design in every adjacency mode, and on
 hypothesis graphs with isolated nodes, self-edges and duplicate edges.
+Every slice stores each entry's reverse, so the frozen explainer's
+one-way-pair path (``cr_valid``) never runs, and the live one raises
+instead of keeping such a path.
 """
 
 from collections import defaultdict
@@ -22,8 +25,13 @@ from hypothesis import strategies as st
 from repro.circuits import build_design
 from repro.circuits.grid import build_fsm_grid
 from repro.explain import gnn_explainer as live
-from repro.graph.adjacency import CSRMatrix, normalized_adjacency
+from repro.graph.adjacency import (
+    CSRMatrix,
+    csr_from_coo,
+    normalized_adjacency,
+)
 from repro.graph.build import netlist_edges
+from repro.utils.errors import ModelError
 
 from tests._reference_explain import ref_gnn_explainer as ref
 
@@ -32,8 +40,7 @@ MODES = [(mode, self_loops) for mode in ("symmetric", "row")
 
 #: Signature arrays besides the slice itself.
 SIGNATURE_ARRAYS = ("base_data", "coo_rows", "coo_cols", "edge_rows",
-                    "edge_cols", "nnz_rc", "nnz_cr", "cr_valid",
-                    "used_mask")
+                    "edge_cols", "nnz_rc", "nnz_cr", "used_mask")
 
 N_FEATURES = 3
 
@@ -78,6 +85,7 @@ def _assert_explainer_csr_matches(edges: np.ndarray, n_nodes: int,
         nodes, levels = live.hop_levels(*structure, node, hops)
         signature = live._SubgraphSignature(a_norm, x, nodes)
         reference = ref._SubgraphSignature(scipy_a_norm, x, nodes)
+        assert reference.cr_valid.all()
         _assert_same_csr(signature.adjacency, reference.adjacency)
         for name in SIGNATURE_ARRAYS:
             assert _same_bits(getattr(signature, name),
@@ -143,3 +151,15 @@ def test_random_graphs_match_frozen_scipy_constructions(
     edges = np.array(edge_list, dtype=np.int64).reshape(-1, 2).T
     _assert_explainer_csr_matches(edges, n_nodes, *mode,
                                   range(n_nodes), hops)
+
+
+@pytest.mark.parametrize("row, col", [(0, 2), (2, 0)])
+def test_one_way_entry_is_a_model_error(row, col):
+    """A slice storing ``(row, col)`` without ``(col, row)`` cannot
+    be masked one edge at a time in both directions."""
+    one_way = csr_from_coo(np.array([0, 1, 2, row]),
+                           np.array([0, 1, 2, col]), np.ones(4), (3, 3))
+    with pytest.raises(ModelError, match=rf"entry \({row}, {col}\) has no "
+                                         r"stored reverse"):
+        live._SubgraphSignature(one_way, np.zeros((3, N_FEATURES)),
+                                np.arange(3))

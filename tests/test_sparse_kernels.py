@@ -66,7 +66,7 @@ from repro.circuits import build_or1200_if
 from repro.features.extract import extract_features
 from repro.graph.build import netlist_edges
 from repro.models.gcn import build_gcn_stack
-from repro.nn import TrainingConfig, engine, train_classifier
+from repro.nn import TrainingConfig, train_classifier
 
 netlist = build_or1200_if()
 x = extract_features(netlist, probability_source="cop").standardized().matrix
@@ -84,7 +84,7 @@ digest = hashlib.sha256(b"".join(
     + [parameter.value.tobytes() for parameter in model.parameters()]
 )).hexdigest()
 print(json.dumps({"package": package,
-                  "engine_kernels": engine._sparsetools is kernels,
+                  "engine_kernels": adjacency.sparse_kernels() is kernels,
                   "digest": digest}))
 """
 
